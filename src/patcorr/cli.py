@@ -33,6 +33,11 @@ from .pattern_sets import (
 )
 from .suites import SUITE_NAMES, run_suite
 
+# Largest operating modulus base**level a set command accepts: binary
+# length 8.  Beyond it even the tables take minutes to build, and a
+# decision far longer.
+MAX_MODULUS = 256
+
 
 class _UsageError(Exception):
     pass
@@ -132,7 +137,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_set(ns: argparse.Namespace) -> PatternSet:
-    return PatternSet.parse(ns.set_text, ns.base)
+    pattern_set = PatternSet.parse(ns.set_text, ns.base)
+    level = pattern_set.length if ns.level is None else ns.level
+    modulus = 1
+    # at most nine steps: the base is at least 2 and 2**9 > MAX_MODULUS
+    for _ in range(level):
+        modulus *= ns.base
+        if modulus > MAX_MODULUS:
+            raise _UsageError(
+                f"operating modulus {ns.base}**{level} exceeds {MAX_MODULUS}"
+            )
+    return pattern_set
 
 
 def _cmd_decide(ns: argparse.Namespace) -> int:

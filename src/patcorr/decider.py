@@ -21,6 +21,14 @@ space of forms that vanish at 0, and such a space must be trivial.
 Exact arithmetic throughout: vectors hold integers, and each element
 carries an exact rational scale so evaluations stay exact while the
 span tests run on primitive integer rows.
+
+The span tests are the bulk of a noncorrelated decision, whose classes
+fill up to 2K rows.  A class therefore keeps its first DENSE_ROWS rows
+in Python lists, which is all a correlated decision usually needs, and
+then moves them to an int64 array that reduces a vector against every
+row in one matrix-vector product.  Each array operation is bounded in
+advance and runs on Python ints when the bound fails, so the stored
+rows and every answer are the same as with lists alone.
 """
 
 from __future__ import annotations
@@ -28,8 +36,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Optional, Sequence, Union
+
+import numpy as np
 
 from .correlation import CorrelationTable, bootstrap
 from .pattern_sets import PatternSet
@@ -93,6 +103,12 @@ class ResidueBasis:
     Rows are primitive (content 1, positive pivot) and each row is zero
     at every other row's pivot column, so membership in the span is a
     single reduction pass and the stored shape is canonical.
+
+    A class starts out as a list of (pivot, row) pairs in pivot order
+    and is reduced one row at a time.  Once it holds DENSE_ROWS rows it
+    moves to a _DenseRows array, which reduces a vector against all of
+    its rows in one product.  Both keep the same rows and give the same
+    answers; stored_rows lists a class either way.
     """
 
     def __init__(self, classes: int, width: int):
@@ -101,7 +117,9 @@ class ResidueBasis:
         self._width = width
         # index q in [1, classes] is a plain class; index classes is the
         # positive-multiples class, index 0 stays unused by convention
-        self._rows: list[list[tuple[int, list[int]]]] = [[] for _ in range(classes + 1)]
+        self._rows: list[Union[list[tuple[int, list[int]]], _DenseRows]] = [
+            [] for _ in range(classes + 1)
+        ]
 
     @property
     def width(self) -> int:
@@ -114,6 +132,13 @@ class ResidueBasis:
     def total_rows(self) -> int:
         return sum(len(rows) for rows in self._rows)
 
+    def stored_rows(self, residue: int) -> list[tuple[int, tuple[int, ...]]]:
+        """The (pivot column, row) pairs of one class, in pivot order."""
+        rows = self._rows[residue]
+        if isinstance(rows, _DenseRows):
+            return rows.listed()
+        return [(pivot, tuple(row)) for pivot, row in rows]
+
     def _reduce(self, rows: list[tuple[int, list[int]]], vector: Sequence[int]) -> list[int]:
         v = list(vector)
         for pivot, row in rows:
@@ -125,7 +150,10 @@ class ResidueBasis:
 
     def contains(self, residue: int, vector: Sequence[int]) -> bool:
         """Whether the vector already lies in the span stored for a class."""
-        return not any(self._reduce(self._rows[residue], vector))
+        rows = self._rows[residue]
+        if isinstance(rows, _DenseRows):
+            return not rows.reduce(vector).any()
+        return not any(self._reduce(rows, vector))
 
     def insert(self, residue: int, vector: Sequence[int]) -> bool:
         """Reduce against the class rows; store if independent.
@@ -135,6 +163,8 @@ class ResidueBasis:
         if len(vector) != self._width:
             raise ValueError(f"vector width {len(vector)} does not match {self._width}")
         rows = self._rows[residue]
+        if isinstance(rows, _DenseRows):
+            return rows.insert(vector)
         v = self._reduce(rows, vector)
         for j, x in enumerate(v):
             if x:
@@ -152,6 +182,8 @@ class ResidueBasis:
                 rows[pos] = (pivot, merged)
         rows.append((j, v))
         rows.sort(key=lambda item: item[0])
+        if len(rows) == DENSE_ROWS:
+            self._rows[residue] = _DenseRows(rows, self._width)
         return True
 
 
@@ -165,6 +197,151 @@ def _make_primitive(v: list[int], pivot: int) -> None:
     if g not in (0, 1):
         for idx, x in enumerate(v):
             v[idx] = x // g
+
+
+# A class moves from lists to the array kernel once it holds this many
+# rows.  Correlated decisions stop while their classes are small, and
+# there the list code is faster than the fixed cost of numpy calls.
+DENSE_ROWS = 8
+# Every int64 operation of the array kernel is first bounded below this
+# in absolute value; int64 itself ends at 2**63.
+_INT64_SAFE = float(1 << 62)
+
+
+class _DenseRows:
+    """The rows of one grown class, reduced against all of them at once.
+
+    rows[:count] holds the primitive rows in the order they arrived, and
+    pivots[i] is row i's pivot column.  With lcm the least common
+    multiple of the pivot values p_i and scales[i] = lcm // p_i,
+
+        lcm * v - (scales * v[pivots]) @ rows
+
+    is a positive multiple of what the sequential reduction leaves: the
+    rows are zero at each other's pivots, so row i clears pivot column
+    i of v and no other.  The arrays hold int64 while row_max, each
+    row's largest |entry|, bounds every result below 2**62.  An
+    operation that fails its bound moves the class to Python ints
+    (dtype=object), so the arithmetic stays exact; the class goes back
+    to int64 at the first new row after which its rows and lcm fit.
+    """
+
+    def __init__(self, listed: list[tuple[int, list[int]]], width: int):
+        count = len(listed)
+        spare = [[0] * width] * count
+        self.count = count
+        self.rows = np.array([row for _, row in listed] + spare, dtype=object)
+        self.pivots = np.array([pivot for pivot, _ in listed] + [0] * count, dtype=np.int64)
+        self.row_max = np.zeros(2 * count)
+        self._rescale()
+
+    def __len__(self) -> int:
+        return self.count
+
+    @property
+    def exact(self) -> bool:
+        """Whether the class has moved to Python ints."""
+        return self.rows.dtype == object
+
+    def _widen(self) -> None:
+        self.rows = self.rows.astype(object)
+        self.scales = self.scales.astype(object)
+
+    def _rescale(self) -> None:
+        """Recompute lcm and scales; go back to int64 once the rows fit."""
+        n = self.count
+        pivot_values = self.rows[np.arange(n), self.pivots[:n]].tolist()
+        self.lcm = lcm(*pivot_values)
+        if self.lcm >= _INT64_SAFE:
+            if not self.exact:
+                self.rows = self.rows.astype(object)
+        elif self.exact:
+            top = np.abs(self.rows[:n]).max(axis=1)
+            if top.max() < _INT64_SAFE:
+                self.rows = self.rows.astype(np.int64)
+                self.row_max[:n] = top.astype(np.float64)
+        dtype = object if self.exact else np.int64
+        self.scales = np.array([self.lcm // p for p in pivot_values], dtype=dtype)
+
+    def _as_array(self, vector: Sequence[int]) -> np.ndarray:
+        if not self.exact:
+            try:
+                return np.array(vector, dtype=np.int64)
+            except OverflowError:
+                self._widen()
+        return np.array(vector, dtype=object)
+
+    def reduce(self, vector: Sequence[int]) -> np.ndarray:
+        """A positive multiple of the vector reduced against every row."""
+        n = self.count
+        v = self._as_array(vector)
+        c = v[self.pivots[:n]]
+        if not c.any():
+            return v
+        if not self.exact:
+            head = self.lcm * max(int(v.max()), -int(v.min()))
+            if head < _INT64_SAFE:
+                weights = self.scales[:n] * c
+                if head + np.abs(weights) @ self.row_max[:n] < _INT64_SAFE:
+                    return self.lcm * v - weights @ self.rows[:n]
+            self._widen()
+            v, c = v.astype(object), c.astype(object)
+        return self.lcm * v - (self.scales[:n] * c) @ self.rows[:n]
+
+    def insert(self, vector: Sequence[int]) -> bool:
+        v = self.reduce(vector)
+        nonzero = np.flatnonzero(v)
+        if not nonzero.size:
+            return False
+        j = int(nonzero[0])
+        g = np.gcd.reduce(v)
+        v //= -g if v[j] < 0 else g
+        v = self._clear_column(v, j)
+        self._append(v, j)
+        return True
+
+    def _clear_column(self, v: np.ndarray, j: int) -> np.ndarray:
+        """Make the older rows zero at v's pivot j and primitive again.
+
+        Returns v, as Python ints if the class had to move to them.
+        """
+        n = self.count
+        column = self.rows[:n, j]
+        hit = np.flatnonzero(column)
+        if not hit.size:
+            return v
+        c = column[hit]
+        if not self.exact:
+            top = float(np.abs(v).max())
+            bound = float(v[j]) * self.row_max[hit] + np.abs(c) * top
+            if bound.max() >= _INT64_SAFE:
+                self._widen()
+                v, c = v.astype(object), c.astype(object)
+        # pivots stay positive: v[j] > 0 and v is zero at the old pivots
+        merged = v[j] * self.rows[hit] - c[:, None] * v
+        merged //= np.gcd.reduce(merged, axis=1)[:, None]
+        self.rows[hit] = merged
+        if not self.exact:
+            self.row_max[hit] = np.abs(merged).max(axis=1)
+        return v
+
+    def _append(self, v: np.ndarray, j: int) -> None:
+        n = self.count
+        if n == len(self.pivots):
+            self.rows = np.concatenate([self.rows, np.zeros_like(self.rows)])
+            self.pivots = np.concatenate([self.pivots, np.zeros_like(self.pivots)])
+            self.row_max = np.concatenate([self.row_max, np.zeros_like(self.row_max)])
+        self.rows[n] = v
+        self.pivots[n] = j
+        if not self.exact:
+            self.row_max[n] = np.abs(v).max()
+        self.count = n + 1
+        self._rescale()
+
+    def listed(self) -> list[tuple[int, tuple[int, ...]]]:
+        n = self.count
+        order = np.argsort(self.pivots[:n])
+        return [(int(self.pivots[i]), tuple(self.rows[i].tolist())) for i in order]
 
 
 def witness_from_provenance(digits: Sequence[int], base: int) -> int:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Union
 
 import numpy as np
@@ -135,6 +136,17 @@ def check_cancellation(pattern_set: PatternSet, middle: Word, first: int, second
     return total
 
 
+@lru_cache(maxsize=64)
+def _saturated_reduced(pattern_set: PatternSet) -> PatternSet:
+    """The leading-zero-free form of a saturated set, validated once per set."""
+    from .classify import is_saturated
+
+    reduced = remove_leading_zeros(pattern_set)
+    if not is_saturated(reduced):
+        raise ValueError("the closed form needs a saturated set")
+    return reduced
+
+
 def saturated_closed_form(pattern_set: PatternSet, residue: int, shift: int) -> Fraction:
     """Restricted correlation of a saturated set, in closed form.
 
@@ -143,11 +155,7 @@ def saturated_closed_form(pattern_set: PatternSet, residue: int, shift: int) -> 
     otherwise.  The operating length is the longest word length of the
     leading-zero-free form.
     """
-    from .classify import is_saturated
-
-    reduced = remove_leading_zeros(pattern_set)
-    if not is_saturated(reduced):
-        raise ValueError("the closed form needs a saturated set")
+    reduced = _saturated_reduced(pattern_set)
     base = reduced.base
     modulus = base**reduced.length
     if not 0 <= residue < modulus:

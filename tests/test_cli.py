@@ -169,3 +169,16 @@ class TestParsing:
 
     def test_bad_level(self, capsys):
         assert run(["decide", "-s", "101", "--level", "1"]) == 1
+
+    def test_large_level_rejected_before_work(self, capsys):
+        assert run(["decide", "-s", "1", "--level", "22"]) == 1
+        assert "exceeds 256" in capsys.readouterr().err
+
+    def test_long_word_rejected_before_work(self, capsys):
+        assert run(["decide", "-s", "1" + "0" * 5000 + "1"]) == 1
+        assert "exceeds 256" in capsys.readouterr().err
+
+    def test_largest_modulus_accepted(self, capsys):
+        code, record = structured(capsys, ["decide", "-s", "1", "--level", "8", "--structured"])
+        assert code == 0
+        assert record["witness_shift"] == 1

@@ -1,12 +1,16 @@
 import random
 from collections import deque
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from patcorr import decider
+from patcorr.classify import saturated_family_from_hadamard, sylvester_hadamard
 from patcorr.correlation import bootstrap
 from patcorr.decider import (
+    DENSE_ROWS,
     BasisElement,
     InternalConsistencyError,
     ResidueBasis,
@@ -53,26 +57,156 @@ def _in_span(vectors, target):
     return all(a == 0 for a in row)
 
 
+def _canonical_rows(vectors):
+    # independent oracle: rational reduced echelon form, each row scaled
+    # to a primitive integer row with a positive pivot
+    reduced = []
+    for v in vectors:
+        row = [F(x) for x in v]
+        for pivot_col, pivot_row in reduced:
+            if row[pivot_col] != 0:
+                f = row[pivot_col]
+                row = [a - f * b for a, b in zip(row, pivot_row)]
+        lead = next((i for i, a in enumerate(row) if a != 0), None)
+        if lead is None:
+            continue
+        row = [a / row[lead] for a in row]
+        reduced = [
+            (c, [a - r[lead] * b for a, b in zip(r, row)]) for c, r in reduced
+        ]
+        reduced.append((lead, row))
+    out = []
+    for pivot_col, row in sorted(reduced):
+        scale = lcm(*(a.denominator for a in row))
+        ints = [int(a * scale) for a in row]
+        content = 0
+        for x in ints:
+            content = gcd(content, x)
+        out.append((pivot_col, tuple(x // content for x in ints)))
+    return out
+
+
+def _sparse(rng, width, top=3):
+    # a third of the entries nonzero, so pivots vary and the reduced rows
+    # stay small
+    return [rng.randint(-top, top) if rng.random() < 0.35 else 0 for _ in range(width)]
+
+
+def _spiked(rng, width, spike):
+    # small sparse vectors until a class has grown past the switch on
+    # int64; after that, with a nonzero spike, a third of them get one
+    # entry of about that size
+    made = 0
+
+    def make():
+        nonlocal made
+        made += 1
+        vec = _sparse(rng, width)
+        if spike and made > 20 and rng.random() < 0.3:
+            vec[rng.randrange(width)] = rng.choice((-1, 1)) * (spike + rng.randint(0, 99))
+        return tuple(vec)
+
+    return make
+
+
+def _check_against_rational(basis, rng, classes, inserts, make):
+    stored = {c: [] for c in range(classes + 1)}
+    inserted = 0
+    for _ in range(inserts):
+        cls = rng.randrange(classes + 1)
+        if stored[cls] and rng.random() < 0.3:
+            # an element of the span, so that grown classes meet
+            # rejections too
+            picks = rng.sample(stored[cls], min(3, len(stored[cls])))
+            coefs = [rng.randint(-4, 4) for _ in picks]
+            vec = tuple(sum(k * x for k, x in zip(coefs, col)) for col in zip(*picks))
+        else:
+            vec = make()
+        fresh_claimed = not basis.contains(cls, vec)
+        fresh_actual = not _in_span(stored[cls], vec)
+        assert fresh_claimed == fresh_actual, (cls, vec, stored[cls])
+        grew = basis.insert(cls, vec)
+        assert grew == fresh_claimed
+        if grew:
+            stored[cls].append(vec)
+            inserted += 1
+        assert basis.rows_in(cls) == len(stored[cls])
+    assert basis.total_rows == inserted
+    for cls in range(classes + 1):
+        assert basis.stored_rows(cls) == _canonical_rows(stored[cls])
+    return stored
+
+
 class TestResidueBasis:
-    def test_against_rational_elimination(self):
+    def test_against_rational_elimination(self, monkeypatch):
+        # count the moves of a grown class from int64 to Python ints
+        widened = []
+        widen = decider._DenseRows._widen
+        monkeypatch.setattr(
+            decider._DenseRows, "_widen", lambda rows: widened.append(1) or widen(rows)
+        )
         rng = random.Random(5)
         classes, width = 3, 6
         for _ in range(40):
             basis = ResidueBasis(classes, width)
-            stored = {c: [] for c in range(classes + 1)}
-            inserted = 0
-            for _ in range(25):
-                cls = rng.randrange(classes + 1)
-                vec = tuple(rng.randint(-3, 3) for _ in range(width))
-                fresh_claimed = not basis.contains(cls, vec)
-                fresh_actual = not _in_span(stored[cls], vec)
-                assert fresh_claimed == fresh_actual, (cls, vec, stored[cls])
-                grew = basis.insert(cls, vec)
-                assert grew == fresh_claimed
-                if grew:
-                    stored[cls].append(vec)
-                    inserted += 1
-            assert basis.total_rows == inserted
+            _check_against_rational(
+                basis, rng, classes, 25,
+                lambda: tuple(rng.randint(-3, 3) for _ in range(width)),
+            )
+        # classes past the switch to the array kernel.  Small entries keep
+        # it on int64.  Entries near 2**31 and 2**61 fit int64, but their
+        # products overflow its bounds; entries near 2**70 do not fit at
+        # all.  The last three move to Python ints.
+        classes, width = 1, 18
+        for spike in (0, 1 << 31, 1 << 61, 1 << 70):
+            widened.clear()
+            for _ in range(2):
+                basis = ResidueBasis(classes, width)
+                stored = _check_against_rational(
+                    basis, rng, classes, 70, _spiked(rng, width, spike)
+                )
+                assert any(len(rows) > DENSE_ROWS for rows in stored.values())
+            assert bool(widened) == (spike > 0)
+
+    def test_products_past_int64_stay_exact(self):
+        # every entry fits int64, but reducing the last vector sums
+        # products near 2**62 into entries far beyond it
+        width = DENSE_ROWS + 4
+        x, y = width - 2, width - 1
+        rows = []
+        for i in range(DENSE_ROWS + 1):
+            row = [0] * width
+            row[i], row[x], row[y] = 1, 1 << 31, 1
+            rows.append(tuple(row))
+        basis = ResidueBasis(1, width)
+        for row in rows:
+            assert basis.insert(0, row)
+        vec = tuple((1 << 31) + 1 if i < DENSE_ROWS else 0 for i in range(width))
+        assert not basis.contains(0, vec)
+        assert basis.insert(0, vec)
+        assert basis.stored_rows(0) == _canonical_rows(rows + [vec])
+
+    def test_pivot_lcm_past_int64_stays_exact(self):
+        # small rows whose pivots are distinct primes: their least common
+        # multiple fits int64 when the class switches to the array, and
+        # passes 2**63 with the ninth row
+        primes = [101, 103, 107, 109, 113, 127, 131, 137, 1000003, 1000033]
+        width = len(primes) + 1
+        rows = []
+        for i, p in enumerate(primes):
+            row = [0] * width
+            row[i], row[-1] = p, 1
+            rows.append(tuple(row))
+        basis = ResidueBasis(1, width)
+        for row in rows:
+            assert basis.insert(0, row)
+        inside = tuple(sum(row[i] for row in rows[:4]) for i in range(width))
+        assert basis.contains(0, inside)
+        assert not basis.insert(0, inside)
+        fresh = (1,) * width
+        assert not basis.contains(0, fresh)
+        assert basis.insert(0, fresh)
+        assert basis.stored_rows(0) == _canonical_rows(rows + [fresh])
 
     def test_zero_vector_always_contained(self):
         basis = ResidueBasis(2, 4)
@@ -100,7 +234,7 @@ class TestResidueBasis:
 
     def test_rows_stay_canonical(self):
         # same span reached along different insertion orders gives the
-        # same stored rows
+        # same stored rows, on lists and past the switch to the array
         vecs = [(1, 2, 0, 4), (0, 3, 1, -2), (2, 1, 1, 2)]
         a = ResidueBasis(1, 4)
         b = ResidueBasis(1, 4)
@@ -108,7 +242,20 @@ class TestResidueBasis:
             a.insert(0, v)
         for v in reversed(vecs):
             b.insert(0, v)
-        assert a._rows == b._rows
+        assert a.stored_rows(0) == b.stored_rows(0)
+        assert a.stored_rows(0) == _canonical_rows(vecs)
+        rng = random.Random(17)
+        width = 14
+        vecs = [tuple(_sparse(rng, width)) for _ in range(DENSE_ROWS + 4)]
+        orders = [vecs, vecs[::-1], rng.sample(vecs, len(vecs))]
+        listings = []
+        for order in orders:
+            basis = ResidueBasis(1, width)
+            for v in order:
+                basis.insert(0, v)
+            listings.append(basis.stored_rows(0))
+        assert len(listings[0]) > DENSE_ROWS
+        assert listings[0] == listings[1] == listings[2] == _canonical_rows(vecs)
 
 
 class TestExpansion:
@@ -264,6 +411,44 @@ class TestDecide:
             if swept:
                 assert decision.witness_shift == swept[0]
             assert table.correlation(decision.witness_shift) == decision.witness_value
+
+
+class TestLargerClosures:
+    # counters of closures whose classes pass the switch to the array
+    # kernel, as the sequential list kernel produced them
+
+    @pytest.mark.parametrize("length, expansions", [(3, 62), (4, 254), (5, 1022)])
+    def test_binary_saturated_counters(self, length, expansions):
+        # all words 1u1 of the length
+        decision = decide(saturated_family_from_hadamard(sylvester_hadamard(2), length))
+        K = 2**length
+        assert decision.noncorrelated
+        assert decision.elements_created == K * K - 2
+        assert decision.expansions == expansions
+
+    def test_base_four_hadamard_family_records(self):
+        matrix = sylvester_hadamard(4)
+        assert decide(saturated_family_from_hadamard(matrix, 2)).to_record() == {
+            "verdict": "noncorrelated",
+            "elements_created": 124,
+            "expansions": 124,
+        }
+        assert decide(saturated_family_from_hadamard(matrix, 3)).to_record() == {
+            "verdict": "noncorrelated",
+            "elements_created": 2044,
+            "expansions": 2044,
+        }
+
+    def test_base_three_record(self):
+        # an odd base has no saturated sets, and all 255 base-3 sets of
+        # two-digit words are correlated; this one has the largest closure
+        assert decide(ps("01,11,12,20,21,22", 3)).to_record() == {
+            "verdict": "correlated",
+            "elements_created": 12,
+            "expansions": 2,
+            "witness_shift": 2,
+            "witness_value": "7/27",
+        }
 
 
 class TestCapacity:
