@@ -37,6 +37,15 @@ from .suites import SUITE_NAMES, run_suite
 # length 8.  Beyond it even the tables take minutes to build, and a
 # decision far longer.
 MAX_MODULUS = 256
+# Largest --max-shift sweep, largest bit length of one --shift, and
+# largest prefix samples + shift that estimate reads.  At the largest
+# modulus each answers within 2 s on a 2-vCPU machine, with a peak of
+# about 190 MB.  Memory binds before time: the memo of a deep shift
+# grows with the square of its digit count, and estimate copies the
+# prefix to int64 twice.
+MAX_SWEEP = 1 << 14
+MAX_SHIFT_BITS = 2048
+MAX_PREFIX = 1 << 23
 
 
 class _UsageError(Exception):
@@ -171,6 +180,12 @@ def _cmd_decide(ns: argparse.Namespace) -> int:
 def _cmd_correlation(ns: argparse.Namespace) -> int:
     if (ns.shift is None) == (ns.max_shift is None):
         raise _UsageError("give exactly one of --shift or --max-shift")
+    if ns.max_shift is not None and ns.max_shift > MAX_SWEEP:
+        raise _UsageError(f"--max-shift {ns.max_shift} exceeds {MAX_SWEEP}")
+    if ns.shift is not None and ns.shift.bit_length() > MAX_SHIFT_BITS:
+        raise _UsageError(
+            f"--shift has {ns.shift.bit_length()} bits, more than {MAX_SHIFT_BITS}"
+        )
     table = bootstrap(_parse_set(ns), ns.level)
     shifts = [ns.shift] if ns.shift is not None else list(range(1, ns.max_shift + 1))
     if any(s < 0 for s in shifts):
@@ -277,6 +292,8 @@ def _cmd_twist(ns: argparse.Namespace) -> int:
 
 def _cmd_estimate(ns: argparse.Namespace) -> int:
     pattern_set = _parse_set(ns)
+    if ns.samples + max(ns.shift, 0) > MAX_PREFIX:
+        raise _UsageError(f"samples + shift exceeds {MAX_PREFIX}")
     if ns.residue is None:
         estimate = empirical_correlation(pattern_set, ns.shift, ns.samples, ns.level)
     else:

@@ -12,6 +12,14 @@ at shift m is the plain average of the class-restricted values.
 
 All restricted values carry the conventional scaling by base**level, so
 the restricted value at shift 0 is exactly 1 on every class.
+
+The arithmetic runs on integers.  The shift-1 values share the common
+denominator D = base**(level - 1) * (base - wrap), where wrap = +-1 is
+the sign of the fixed point, and all values at one shift share
+D * base**e for some e.  A table keeps one integer numerator vector per
+shift and builds shift m from the shifts m floordiv base and
+m floordiv base + 1, filled in ascending order: no value recurses, and
+the Fraction returned is the only one made.
 """
 
 from __future__ import annotations
@@ -39,17 +47,26 @@ class CorrelationTable:
     """Shift-1 restricted correlations of one set at one operating length.
 
     entries[r] is the exact limit of base**level times the average of
-    a(n) a(n + 1) over n = r mod base**level.  General shifts reduce to
-    these through a memoized recursion keyed on (class, shift).
+    a(n) a(n + 1) over n = r mod base**level, and equals
+    numerators[r] / denominator.  General shifts reduce to these one
+    digit at a time through a memo keyed by shift alone: the entry
+    (e, V) of a shift gives the restricted value on class r as
+    V[r] / (denominator * base**e).
     """
 
     base: int
     level: int
     factor: PeriodicFactor
     entries: tuple[Fraction, ...]
-    _memo: dict[tuple[int, int], Fraction] = field(
+    numerators: tuple[int, ...]
+    denominator: int
+    _memo: dict[int, tuple[int, list[int]]] = field(
         default_factory=dict, repr=False, compare=False
     )
+
+    def __post_init__(self) -> None:
+        self._memo[0] = (0, [self.denominator] * self.modulus)
+        self._memo[1] = (0, list(self.numerators))
 
     @property
     def modulus(self) -> int:
@@ -66,22 +83,8 @@ class CorrelationTable:
             return ONE
         if shift == 1:
             return self.entries[residue]
-        key = (residue, shift)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        base = self.base
-        hv = self.factor.values
-        reduced, digit = divmod(shift, base)
-        child_shift = reduced + (digit + residue % base) // base
-        stride = modulus // base
-        head = residue // base
-        total = sum(
-            self.restricted(stride * d + head, child_shift) for d in range(base)
-        )
-        value = Fraction(hv[residue] * hv[(residue + shift) % modulus], base) * total
-        self._memo[key] = value
-        return value
+        e, values = self._values(shift)
+        return Fraction(values[residue], self.denominator * self.base**e)
 
     def correlation(self, shift: int) -> Fraction:
         """The full correlation at one shift: the average over all classes."""
@@ -89,8 +92,67 @@ class CorrelationTable:
             raise ValueError("shift must be nonnegative")
         if shift == 0:
             return ONE
+        e, values = self._values(shift)
+        return Fraction(sum(values), self.denominator * self.base**e * self.modulus)
+
+    def _values(self, shift: int) -> tuple[int, list[int]]:
+        """The memo entry of one shift, filling in every shift it needs.
+
+        One digit down, shift m needs m floordiv base, and also the next
+        shift when a carry can occur, that is when m has a nonzero least
+        digit.  So each digit level needs at most two shifts, all below
+        m once m >= 2, and filling them in ascending order finds every
+        shift's children already there.
+        """
+        memo = self._memo
+        found = memo.get(shift)
+        if found is not None:
+            return found
+        base = self.base
+        wanted: set[int] = set()
+        level = {shift}
+        while level:
+            wanted |= level
+            below = set()
+            for m in level:
+                reduced, digit = divmod(m, base)
+                below.add(reduced)
+                if digit:
+                    below.add(reduced + 1)
+            level = below.difference(wanted, memo)
+        for m in sorted(wanted):
+            memo[m] = self._step(m)
+        return memo[shift]
+
+    def _step(self, shift: int) -> tuple[int, list[int]]:
+        """The memo entry of one shift >= 2 from the entries one digit down.
+
+        Class r = base * head + d sits over the classes stride * j + head,
+        taken at shift m floordiv base, or at the next shift when
+        d + (m mod base) reaches the base.  Its value is the sign
+        h(r) h(r + m) times the sum of theirs, divided by the base; the
+        two children's sums are first brought to one power of the base.
+        """
+        base = self.base
         modulus = self.modulus
-        return sum(self.restricted(r, shift) for r in range(modulus)) / modulus
+        stride = modulus // base
+        reduced, digit = divmod(shift, base)
+        children = [self._memo[reduced]]
+        if digit:
+            children.append(self._memo[reduced + 1])
+        e = max(ce for ce, _ in children)
+        sums = []
+        for ce, values in children:
+            chunks = [values[j * stride : (j + 1) * stride] for j in range(base)]
+            scale = base ** (e - ce)
+            sums.append([scale * total for total in map(sum, zip(*chunks))])
+        gathered = [0] * modulus
+        for d in range(base):
+            gathered[d::base] = sums[d >= base - digit]
+        hv = self.factor.values
+        s = shift % modulus
+        rotated = hv[s:] + hv[:s]
+        return e + 1, [x if a == b else -x for x, a, b in zip(gathered, hv, rotated)]
 
 
 def bootstrap(pattern_set: PatternSet, level: Union[int, None] = None) -> CorrelationTable:
@@ -99,7 +161,10 @@ def bootstrap(pattern_set: PatternSet, level: Union[int, None] = None) -> Correl
     Classes whose index does not end in the top digit feed directly off
     the sequence ratio; classes ending in j top digits average the j - 1
     ones; the all-top-digits class wraps around the modulus and is
-    solved as a one-variable fixed point.
+    solved as a one-variable fixed point.  A class ending in j < level
+    top digits has a value with denominator base**j, so the solve runs
+    on numerators over base**(level - 1), and the fixed point, with sign
+    wrap, adds the factor base - wrap.
     """
     lvl = _operating_level(pattern_set, level)
     base = pattern_set.base
@@ -107,23 +172,27 @@ def bootstrap(pattern_set: PatternSet, level: Union[int, None] = None) -> Correl
     h = periodic_factor(pattern_set, lvl)
     hv = h.values
     stride = modulus // base
-    entries: list[Fraction] = [ONE] * modulus
-    order = sorted(range(modulus - 1), key=lambda r: _trailing_top_digits(r, base, lvl))
-    for r in order:
+    top = base ** (lvl - 1)
+    scaled = [top] * modulus
+    depths = [_trailing_top_digits(r, base, lvl) for r in range(modulus - 1)]
+    for r in sorted(range(modulus - 1), key=depths.__getitem__):
         sign = hv[r] * hv[(r + 1) % modulus]
-        if _trailing_top_digits(r, base, lvl) == 0:
-            entries[r] = Fraction(sign)
+        if depths[r] == 0:
+            scaled[r] = sign * top
         else:
             head = r // base
-            total = sum(entries[stride * d + head] for d in range(base))
-            entries[r] = Fraction(sign, base) * total
+            total = sum(scaled[stride * d + head] for d in range(base))
+            # exact: the children's values have denominators base**(j - 1)
+            scaled[r] = sign * (total // base)
     # The all-top-digits class appears among its own children; its
     # remaining children all have one fewer trailing top digit and are
     # already solved, leaving a linear equation in one unknown.
     wrap = hv[modulus - 1] * hv[0]
-    tail = sum(entries[stride * (d + 1) - 1] for d in range(base - 1))
-    entries[modulus - 1] = Fraction(wrap, 1) * tail / (base - wrap)
-    return CorrelationTable(base, lvl, h, tuple(entries))
+    tail = sum(scaled[stride * (d + 1) - 1] for d in range(base - 1))
+    numerators = tuple(x * (base - wrap) for x in scaled[:-1]) + (wrap * tail,)
+    denominator = top * (base - wrap)
+    entries = tuple(Fraction(n, denominator) for n in numerators)
+    return CorrelationTable(base, lvl, h, entries, numerators, denominator)
 
 
 def restricted_correlation(

@@ -18,9 +18,12 @@ comes out.  If instead the space closes with every such evaluation
 zero, all correlations vanish: the closure then spans a shift-invariant
 space of forms that vanish at 0, and such a space must be trivial.
 
-Exact arithmetic throughout: vectors hold integers, and each element
-carries an exact rational scale so evaluations stay exact while the
-span tests run on primitive integer rows.
+Exact arithmetic throughout: vectors hold integers and each element
+carries an exact rational scale, while the span tests run on primitive
+integer rows.  A closure step adds each coefficient once into one of two
+integer sums, and a form's value at 0 is one integer dot product
+against the shift-1 numerators over their common denominator, so a
+step makes Fractions only for the child's scale and for that value.
 
 The span tests are the bulk of a noncorrelated decision, whose classes
 fill up to 2K rows.  A class therefore keeps its first DENSE_ROWS rows
@@ -37,6 +40,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -148,8 +152,13 @@ class ResidueBasis:
                 v = [p * a - c * b for a, b in zip(v, row)]
         return v
 
+    def _check_width(self, vector: Sequence[int]) -> None:
+        if len(vector) != self._width:
+            raise ValueError(f"vector width {len(vector)} does not match {self._width}")
+
     def contains(self, residue: int, vector: Sequence[int]) -> bool:
         """Whether the vector already lies in the span stored for a class."""
+        self._check_width(vector)
         rows = self._rows[residue]
         if isinstance(rows, _DenseRows):
             return not rows.reduce(vector).any()
@@ -160,8 +169,7 @@ class ResidueBasis:
 
         Returns True when the vector enlarged the span.
         """
-        if len(vector) != self._width:
-            raise ValueError(f"vector width {len(vector)} does not match {self._width}")
+        self._check_width(vector)
         rows = self._rows[residue]
         if isinstance(rows, _DenseRows):
             return rows.insert(vector)
@@ -188,15 +196,11 @@ class ResidueBasis:
 
 
 def _make_primitive(v: list[int], pivot: int) -> None:
-    g = 0
-    for x in v:
-        if x:
-            g = gcd(g, x)
+    g = gcd(*v)
     if v[pivot] < 0:
         g = -g
     if g not in (0, 1):
-        for idx, x in enumerate(v):
-            v[idx] = x // g
+        v[:] = [x // g for x in v]
 
 
 # A class moves from lists to the array kernel once it holds this many
@@ -359,15 +363,14 @@ def evaluate_at_zero(
 
     Restricted values at shift offset 0 are all exactly 1, so the first
     block contributes its plain sum; the second block pairs with the
-    shift-1 table.
+    shift-1 table, whose numerators share one denominator.
     """
     modulus = table.modulus
-    total = Fraction(sum(coeffs[:modulus]))
-    for r in range(modulus):
-        c = coeffs[modulus + r]
-        if c:
-            total += c * table.entries[r]
-    return scale * total
+    denominator = table.denominator
+    total = sum(coeffs[:modulus]) * denominator + sum(
+        map(mul, coeffs[modulus:], table.numerators)
+    )
+    return scale * Fraction(total, denominator)
 
 
 def expand_element(
@@ -390,27 +393,31 @@ def expand_element(
     q = element.residue
     digit = q % base
     w = element.coeffs
-    child = [0] * (2 * modulus)
+    # Coefficient r of offset block o, signed by h(r) h(r + q + o), goes
+    # to offset block carry = (digit + o + r % base) floordiv base of the
+    # child, at every class stride * d + r floordiv base.  So it is added
+    # once, into the low or the high sum by its carry, and each sum is
+    # repeated base times to make its block.
+    low_columns: list[list[int]] = []
+    high_columns: list[list[int]] = []
     for offset in (0, 1):
-        block = offset * modulus
-        for r in range(modulus):
-            c = w[block + r]
-            if not c:
-                continue
-            if hv[r] * hv[(r + q + offset) % modulus] < 0:
-                c = -c
-            carry = (digit + offset + r % base) // base
-            target = carry * modulus + r // base
-            for d in range(base):
-                child[target + d * stride] += c
-    scale = element.scale / base
-    g = 0
-    for x in child:
-        if x:
-            g = gcd(g, x)
+        block = w[offset * modulus : (offset + 1) * modulus]
+        if not any(block):
+            continue
+        s = (q + offset) % modulus
+        rotated = hv[s:] + hv[:s]
+        signed = [c if a == b else -c for c, a, b in zip(block, hv, rotated)]
+        split = base - digit - offset
+        for j in range(base):
+            (low_columns if j < split else high_columns).append(signed[j::base])
+    low = list(map(sum, zip(*low_columns))) if low_columns else [0] * stride
+    high = list(map(sum, zip(*high_columns))) if high_columns else [0] * stride
+    g = gcd(*low, *high) or 1
     if g > 1:
-        child = [x // g for x in child]
-        scale *= g
+        low = [x // g for x in low]
+        high = [x // g for x in high]
+    scale = Fraction(element.scale.numerator * g, element.scale.denominator * base)
+    child = low * base + high * base
     provenance = element.provenance + (digit,)
     head = q // base
     targets = [stride * d + head for d in range(base)]
@@ -444,10 +451,11 @@ def decide(pattern_set: PatternSet, level: Union[int, None] = None) -> Decision:
     basis = ResidueBasis(modulus, width)
     queue: deque[BasisElement] = deque()
     seed = (1,) * modulus + (0,) * modulus
+    one = Fraction(1)
     created = 0
     for t in range(1, modulus + 1):
         basis.insert(t, seed)
-        queue.append(BasisElement(t, seed, Fraction(1), ()))
+        queue.append(BasisElement(t, seed, one, ()))
         created += 1
     expansions = 0
     while queue:

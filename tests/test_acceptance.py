@@ -19,7 +19,13 @@ from patcorr.correlation import bootstrap
 from patcorr.decider import decide
 from patcorr.oracle import empirical_correlation
 from patcorr.pattern_sets import PatternSet
-from patcorr.suites import run_suite
+from patcorr.suites import (
+    L4_CANDIDATES,
+    L4_NONCORRELATED,
+    THEOREM_C_CANDIDATES,
+    THEOREM_C_NONCORRELATED_BY_LENGTH,
+    run_suite,
+)
 from patcorr.words import Word
 
 F = Fraction
@@ -56,8 +62,8 @@ def timed_equivalence_length_five():
 def test_criterion_1_binary_census(timed_census_length_four):
     with criterion(1, "binary length-4 census"):
         report, elapsed = timed_census_length_four
-        assert report.candidates == 32768
-        assert report.noncorrelated == 2272
+        assert report.candidates == L4_CANDIDATES
+        assert report.noncorrelated == L4_NONCORRELATED
         assert elapsed < CENSUS_BUDGET_SECONDS
 
 
@@ -86,9 +92,9 @@ def test_criterion_3_pair_of_ones_noncorrelation():
 def test_criterion_4_saturation_equivalence(timed_equivalence_length_five):
     with criterion(4, "saturation equivalence sweep"):
         report, elapsed = timed_equivalence_length_five
-        assert report.candidates == 65536
+        assert report.candidates == THEOREM_C_CANDIDATES
         assert report.mismatches == []
-        assert report.noncorrelated_by_length == {2: 2, 3: 4, 4: 16, 5: 256}
+        assert report.noncorrelated_by_length == THEOREM_C_NONCORRELATED_BY_LENGTH
         assert elapsed < EQUIVALENCE_BUDGET_SECONDS
 
 

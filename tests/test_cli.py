@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from patcorr.cli import run
+from patcorr.cli import MAX_PREFIX, MAX_SHIFT_BITS, MAX_SWEEP, run
+from patcorr.correlation import correlation
+from patcorr.pattern_sets import PatternSet
 
 
 def structured(capsys, argv):
@@ -59,6 +61,25 @@ class TestCorrelationCommand:
     def test_requires_exactly_one_mode(self, capsys):
         assert run(["correlation", "-s", "1"]) == 1
         assert run(["correlation", "-s", "1", "--shift", "1", "--max-shift", "2"]) == 1
+
+    def test_deep_shift(self, capsys):
+        shift = 2**900 + 1
+        code, record = structured(
+            capsys, ["correlation", "-s", "1", "--shift", str(shift), "--structured"]
+        )
+        assert code == 0
+        value = correlation(PatternSet.parse("1", 2), shift)
+        assert record["values"] == {str(shift): f"{value.numerator}/{value.denominator}"}
+
+    def test_shift_bits_limit(self, capsys):
+        shift = 1 << MAX_SHIFT_BITS
+        assert run(["correlation", "-s", "1", "--shift", str(shift)]) == 1
+        assert f"more than {MAX_SHIFT_BITS}" in capsys.readouterr().err
+        assert run(["correlation", "-s", "1", "--shift", str(shift - 1)]) == 0
+
+    def test_sweep_limit(self, capsys):
+        assert run(["correlation", "-s", "1", "--max-shift", str(MAX_SWEEP + 1)]) == 1
+        assert f"exceeds {MAX_SWEEP}" in capsys.readouterr().err
 
 
 class TestCensusCommand:
@@ -147,6 +168,12 @@ class TestEstimateCommand:
         assert code == 0
         assert record["residue"] == 0
         assert abs(record["value"] - 1) < 1e-2
+
+    def test_prefix_limit(self, capsys):
+        # refused before any allocation, so this runs in no time
+        argv = ["estimate", "-s", "1", "--shift", "1", "--samples", str(MAX_PREFIX)]
+        assert run(argv) == 1
+        assert f"exceeds {MAX_PREFIX}" in capsys.readouterr().err
 
 
 class TestVerifyCommand:

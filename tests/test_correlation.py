@@ -1,9 +1,13 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from patcorr.classify import saturated_family_from_hadamard, sylvester_hadamard
 from patcorr.correlation import CorrelationTable, bootstrap, correlation, restricted_correlation
+from patcorr.oracle import saturated_closed_form
 from patcorr.pattern_sets import PatternSet, evaluate
 
 
@@ -34,6 +38,18 @@ class TestBootstrap:
     def test_level_below_length_rejected(self):
         with pytest.raises(ValueError):
             bootstrap(ps("101"), level=2)
+
+    def test_entries_are_numerators_over_one_denominator(self):
+        rng = random.Random(3)
+        for base, length in ((2, 1), (2, 3), (3, 2), (4, 2)):
+            for _ in range(4):
+                table = bootstrap(_random_set(rng, base, length))
+                hv = table.factor.values
+                wrap = hv[-1] * hv[0]
+                assert table.denominator == base ** (length - 1) * (base - wrap)
+                assert len(table.numerators) == table.modulus
+                for r in range(table.modulus):
+                    assert table.entries[r] == F(table.numerators[r], table.denominator)
 
 
 class TestKnownValues:
@@ -150,3 +166,97 @@ class TestProperties:
         high = bootstrap(a, level=a.length + 1)
         for m in range(0, 20):
             assert low.correlation(m) == high.correlation(m)
+
+
+def _random_set(rng, base, length):
+    """Random nonzero words of length at most `length`, at least one of that length."""
+    while True:
+        words = [
+            "".join(map(str, digits))
+            for size in range(1, length + 1)
+            for digits in itertools.product(range(base), repeat=size)
+            if any(digits) and rng.random() < 0.4
+        ]
+        if any(len(w) == length for w in words):
+            return PatternSet.of(base, words)
+
+
+class _FractionRecursion:
+    """Reference: the per-(class, shift) Fraction recursion over a shift-1 table.
+
+    One digit at a time, class r at shift m averages the classes
+    stride * d + r // base at shift m // base, bumped by the carry of
+    r % base + m % base, and takes the sign h(r) h(r + m).
+    """
+
+    def __init__(self, table):
+        self.table = table
+        self.memo = {}
+
+    def restricted(self, residue, shift):
+        table = self.table
+        if shift == 0:
+            return F(1)
+        if shift == 1:
+            return table.entries[residue]
+        key = (residue, shift)
+        if key not in self.memo:
+            base, modulus = table.base, table.modulus
+            hv = table.factor.values
+            reduced, digit = divmod(shift, base)
+            child_shift = reduced + (digit + residue % base) // base
+            stride = modulus // base
+            total = sum(
+                self.restricted(stride * d + residue // base, child_shift)
+                for d in range(base)
+            )
+            sign = hv[residue] * hv[(residue + shift) % modulus]
+            self.memo[key] = F(sign, base) * total
+        return self.memo[key]
+
+
+class TestAgainstFractionRecursion:
+    @pytest.mark.parametrize("base", [2, 3, 4])
+    @pytest.mark.parametrize("length", [1, 2, 3])
+    def test_every_value_matches(self, base, length):
+        rng = random.Random(100 * base + length)
+        for _ in range(2):
+            table = bootstrap(_random_set(rng, base, length))
+            K = table.modulus
+            reference = _FractionRecursion(table)
+            deep = [rng.randrange(base**59, base**60) for _ in range(3)]
+            for m in list(range(2 * K + 3)) + deep:
+                expected = [reference.restricted(r, m) for r in range(K)]
+                assert [table.restricted(r, m) for r in range(K)] == expected, m
+                assert table.correlation(m) == sum(expected) / K, m
+
+
+class TestDeepShifts:
+    # far past the depth at which a recursion over digits would exhaust
+    # the interpreter's stack; saturated sets, so the closed form checks
+    # every class
+    @pytest.mark.parametrize(
+        "pattern_set, shift",
+        [
+            (ps("11"), 2**600 + 1),
+            (ps("1001,1011,1101,1111"), 2**700 + 5),
+            (saturated_family_from_hadamard(sylvester_hadamard(4), 2), 4**650 + 3),
+            (ps("11"), 2**900 + 1),
+        ],
+    )
+    def test_saturated_closed_form(self, pattern_set, shift):
+        table = bootstrap(pattern_set)
+        K = table.modulus
+        expected = [saturated_closed_form(pattern_set, r, shift) for r in range(K)]
+        assert [table.restricted(r, shift) for r in range(K)] == expected
+        assert table.correlation(shift) == sum(expected) / K
+
+    def test_single_digit_recurrences(self):
+        # gamma(2m) = gamma(m) and gamma(2m + 1) = -(gamma(m) + gamma(m + 1)) / 2
+        table = bootstrap(ps("1"))
+        m = 2**899
+        assert table.correlation(2 * m) == table.correlation(m) == F(-1, 3)
+        assert table.correlation(2 * m + 1) == (
+            -(table.correlation(m) + table.correlation(m + 1)) / 2
+        )
+        assert table.correlation(2 * m + 1) != 0

@@ -232,6 +232,22 @@ class TestResidueBasis:
         with pytest.raises(ValueError):
             basis.insert(0, (1, 2))
 
+    def test_contains_rejects_wrong_width(self):
+        # a list class would otherwise truncate the vector to its width
+        basis = ResidueBasis(1, 4)
+        basis.insert(0, (1, 0, 0, 0))
+        for vec in ((1, 0, 0, 0, 5), (1, 0, 0)):
+            with pytest.raises(ValueError):
+                basis.contains(0, vec)
+        width = DENSE_ROWS + 3
+        basis = ResidueBasis(1, width)
+        for i in range(DENSE_ROWS + 1):
+            assert basis.insert(0, tuple(int(j == i) for j in range(width)))
+        assert basis.rows_in(0) > DENSE_ROWS
+        for size in (width - 1, width + 1):
+            with pytest.raises(ValueError):
+                basis.contains(0, (1,) + (0,) * (size - 1))
+
     def test_rows_stay_canonical(self):
         # same span reached along different insertion orders gives the
         # same stored rows, on lists and past the switch to the array
@@ -258,7 +274,67 @@ class TestResidueBasis:
         assert listings[0] == listings[1] == listings[2] == _canonical_rows(vecs)
 
 
+def _expand_by_digit(element, table):
+    """Reference: the closure step with one add per coefficient and class.
+
+    Returns the children as (residue, coeffs, scale, provenance) and the
+    point value, evaluated with Fraction arithmetic on the entries.
+    """
+    base, modulus = table.base, table.modulus
+    stride = modulus // base
+    hv = table.factor.values
+    q = element.residue
+    digit = q % base
+    child = [0] * (2 * modulus)
+    for offset in (0, 1):
+        for r in range(modulus):
+            c = element.coeffs[offset * modulus + r]
+            if hv[r] * hv[(r + q + offset) % modulus] < 0:
+                c = -c
+            carry = (digit + offset + r % base) // base
+            for d in range(base):
+                child[carry * modulus + r // base + d * stride] += c
+    scale = element.scale / base
+    g = 0
+    for x in child:
+        g = gcd(g, x)
+    if g > 1:
+        child = [x // g for x in child]
+        scale *= g
+    targets = [stride * d + q // base for d in range(base)]
+    point = None
+    if targets[0] == 0:
+        point = F(sum(child[:modulus])) + sum(
+            c * e for c, e in zip(child[modulus:], table.entries)
+        )
+        point *= scale
+        targets = targets[1:] + [modulus]
+    provenance = element.provenance + (digit,)
+    return [(t, tuple(child), scale, provenance) for t in targets], point
+
+
 class TestExpansion:
+    def test_matches_per_digit_loop(self):
+        rng = random.Random(23)
+        for base, length in ((2, 1), (2, 3), (2, 4), (3, 1), (3, 2), (4, 2)):
+            for _ in range(4):
+                mask = rng.randrange(1 << (base**length - 1)) << 1
+                table = bootstrap(PatternSet.from_mask(base, length, mask))
+                K = table.modulus
+                for _ in range(25):
+                    coeffs = tuple(
+                        rng.randint(-9, 9) if rng.random() < 0.6 else 0 for _ in range(2 * K)
+                    )
+                    if rng.random() < 0.3:
+                        coeffs = tuple(6 * c for c in coeffs)
+                    scale = F(rng.randint(1, 50), rng.randint(1, 50))
+                    element = BasisElement(rng.randint(1, K), coeffs, scale, (1, 0))
+                    children, point = expand_element(element, table)
+                    expected, expected_point = _expand_by_digit(element, table)
+                    assert [
+                        (c.residue, c.coeffs, c.scale, c.provenance) for c in children
+                    ] == expected
+                    assert point == expected_point
     def test_single_digit_first_step(self):
         # the shift-1 seed for the parity-of-ones set: one shared child
         # vector lands on the remaining plain class and the
