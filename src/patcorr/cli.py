@@ -39,10 +39,9 @@ from .suites import SUITE_NAMES, run_suite
 MAX_MODULUS = 256
 # Largest --max-shift sweep, largest bit length of one --shift, and
 # largest prefix samples + shift that estimate reads.  At the largest
-# modulus each answers within 2 s on a 2-vCPU machine, with a peak of
-# about 190 MB.  Memory binds before time: the memo of a deep shift
-# grows with the square of its digit count, and estimate copies the
-# prefix to int64 twice.
+# modulus each answers within 2 s on a 2-vCPU machine.  The sweep peaks
+# at about 150 MB, as the memo keeps every shift it asks for; a deep
+# shift and the estimate stay under 50 MB.
 MAX_SWEEP = 1 << 14
 MAX_SHIFT_BITS = 2048
 MAX_PREFIX = 1 << 23

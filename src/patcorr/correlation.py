@@ -16,10 +16,11 @@ the restricted value at shift 0 is exactly 1 on every class.
 The arithmetic runs on integers.  The shift-1 values share the common
 denominator D = base**(level - 1) * (base - wrap), where wrap = +-1 is
 the sign of the fixed point, and all values at one shift share
-D * base**e for some e.  A table keeps one integer numerator vector per
-shift and builds shift m from the shifts m floordiv base and
-m floordiv base + 1, filled in ascending order: no value recurses, and
-the Fraction returned is the only one made.
+D * base**e for some e.  A table builds shift m from the shifts
+m floordiv base and m floordiv base + 1, one digit level at a time from
+the bottom: no value recurses, and the Fraction returned is the only one
+made.  It keeps the numerator vector of each shift asked for, and drops
+the levels in between once the level above them is built.
 """
 
 from __future__ import annotations
@@ -51,7 +52,9 @@ class CorrelationTable:
     numerators[r] / denominator.  General shifts reduce to these one
     digit at a time through a memo keyed by shift alone: the entry
     (e, V) of a shift gives the restricted value on class r as
-    V[r] / (denominator * base**e).
+    V[r] / (denominator * base**e).  V is a tuple of ints, which the
+    garbage collector stops tracking, so a large memo adds nothing to
+    its collections.
     """
 
     base: int
@@ -60,13 +63,13 @@ class CorrelationTable:
     entries: tuple[Fraction, ...]
     numerators: tuple[int, ...]
     denominator: int
-    _memo: dict[int, tuple[int, list[int]]] = field(
+    _memo: dict[int, tuple[int, tuple[int, ...]]] = field(
         default_factory=dict, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
-        self._memo[0] = (0, [self.denominator] * self.modulus)
-        self._memo[1] = (0, list(self.numerators))
+        self._memo[0] = (0, (self.denominator,) * self.modulus)
+        self._memo[1] = (0, self.numerators)
 
     @property
     def modulus(self) -> int:
@@ -95,51 +98,61 @@ class CorrelationTable:
         e, values = self._values(shift)
         return Fraction(sum(values), self.denominator * self.base**e * self.modulus)
 
-    def _values(self, shift: int) -> tuple[int, list[int]]:
-        """The memo entry of one shift, filling in every shift it needs.
+    def _values(self, shift: int) -> tuple[int, tuple[int, ...]]:
+        """The memo entry of one shift, built from the levels below it.
 
         One digit down, shift m needs m floordiv base, and also the next
         shift when a carry can occur, that is when m has a nonzero least
         digit.  So each digit level needs at most two shifts, all below
-        m once m >= 2, and filling them in ascending order finds every
-        shift's children already there.
+        m once m >= 2.  Levels are collected down to the first one whose
+        shifts the memo holds, then built upwards, each from the one
+        below it.  Only the asked shift enters the memo: an ascending
+        sweep finds every shift's children there, and a deep shift holds
+        two levels at a time instead of all of them.
         """
         memo = self._memo
         found = memo.get(shift)
         if found is not None:
             return found
         base = self.base
-        wanted: set[int] = set()
-        level = {shift}
-        while level:
-            wanted |= level
+        levels = [{shift}]
+        while True:
             below = set()
-            for m in level:
+            for m in levels[-1]:
                 reduced, digit = divmod(m, base)
                 below.add(reduced)
                 if digit:
                     below.add(reduced + 1)
-            level = below.difference(wanted, memo)
-        for m in sorted(wanted):
-            memo[m] = self._step(m)
-        return memo[shift]
+            # not below.difference(memo), which walks the whole memo
+            below = {m for m in below if m not in memo}
+            if not below:
+                break
+            levels.append(below)
+        built: dict[int, tuple[int, tuple[int, ...]]] = {}
+        for level in reversed(levels):
+            built = {m: self._step(m, built) for m in level}
+        memo[shift] = built[shift]
+        return built[shift]
 
-    def _step(self, shift: int) -> tuple[int, list[int]]:
-        """The memo entry of one shift >= 2 from the entries one digit down.
+    def _step(
+        self, shift: int, built: dict[int, tuple[int, tuple[int, ...]]]
+    ) -> tuple[int, tuple[int, ...]]:
+        """The entry of one shift >= 2 from the entries one digit down.
 
         Class r = base * head + d sits over the classes stride * j + head,
         taken at shift m floordiv base, or at the next shift when
         d + (m mod base) reaches the base.  Its value is the sign
         h(r) h(r + m) times the sum of theirs, divided by the base; the
         two children's sums are first brought to one power of the base.
+        The children are read from built, the level just below, or else
+        from the memo.
         """
         base = self.base
         modulus = self.modulus
         stride = modulus // base
         reduced, digit = divmod(shift, base)
-        children = [self._memo[reduced]]
-        if digit:
-            children.append(self._memo[reduced + 1])
+        wanted = (reduced, reduced + 1) if digit else (reduced,)
+        children = [built[m] if m in built else self._memo[m] for m in wanted]
         e = max(ce for ce, _ in children)
         sums = []
         for ce, values in children:
@@ -152,7 +165,7 @@ class CorrelationTable:
         hv = self.factor.values
         s = shift % modulus
         rotated = hv[s:] + hv[:s]
-        return e + 1, [x if a == b else -x for x, a, b in zip(gathered, hv, rotated)]
+        return e + 1, tuple([x if a == b else -x for x, a, b in zip(gathered, hv, rotated)])
 
 
 def bootstrap(pattern_set: PatternSet, level: Union[int, None] = None) -> CorrelationTable:

@@ -2,8 +2,9 @@
 
 Everything here approaches the same quantities as the exact machinery
 from the opposite side: finite averages of actual sequence values, and
-the closed form available for saturated sets.  Sums of +-1 products are
-accumulated in 64-bit integers, so the averages are exact up to the
+the closed form available for saturated sets.  A sum of +-1 products is
+the number of terms less twice the number of terms whose two signs
+differ, counted on int8 values, so the averages are exact up to the
 final division.
 """
 
@@ -19,6 +20,7 @@ import numpy as np
 from .pattern_sets import (
     PatternSet,
     _operating_level,
+    _sign_table,
     evaluate,
     periodic_factor,
     remove_leading_zeros,
@@ -49,26 +51,48 @@ def sequence_values(
 ) -> np.ndarray:
     """The first `count` sequence values as an int8 array.
 
-    Values are generated along digit chains: each block [m, base * m)
-    reads its signs off the already filled prefix through the periodic
-    ratio, so the whole prefix costs one table of size base**level plus
-    vectorized passes.
+    Unrolling a(base * n + d) = a(n) h(base * n + d) k times gives, for
+    the width W = base**k, a(W q + r) = a(q) g(q mod P, r) with
+    P = base**(level - 1) and g(s, r) = a(W s + r) a(s).  With W = base,
+    g is the ratio table h; that gives the first P * W values for a width
+    of at least 256, hence its g, and the rest follow in rows of that
+    width.
     """
     if count < 1:
         raise ValueError("need at least one sequence value")
     lvl = _operating_level(pattern_set, level)
     base = pattern_set.base
-    modulus = base**lvl
+    signs = np.array(_sign_table(pattern_set, lvl), dtype=np.int8)
     ratio = np.array(periodic_factor(pattern_set, lvl).values, dtype=np.int8)
-    out = np.empty(count, dtype=np.int8)
-    out[0] = 1
+    period = len(ratio) // base
+    width = base
+    while width < 256:
+        width *= base
+    head = _unrolled(signs, ratio.reshape(period, base), min(count, period * width))
+    if count <= len(head):
+        return head
+    return _unrolled(head, head.reshape(period, width) * head[:period, None], count)
+
+
+def _unrolled(first: np.ndarray, table: np.ndarray, count: int) -> np.ndarray:
+    """a(0), ..., a(count - 1) from a(W q + r) = a(q) table[q mod P, r].
+
+    Values go in blocks of P rows of W, and row q of a block is a(q)
+    times row q mod P of the table, so a block is one int8 product.
+    Blocks [b, W b) read only values before block b, and first holds
+    block 0.
+    """
+    period, width = table.shape
+    blocks = -(-count // (period * width))
+    out = np.empty((blocks, period, width), dtype=np.int8)
+    flat = out.reshape(-1)
+    out[0] = first.reshape(period, width)
     filled = 1
-    while filled < count:
-        hi = min(count, filled * base)
-        idx = np.arange(filled, hi)
-        out[filled:hi] = out[idx // base] * ratio[idx % modulus]
+    while filled < blocks:
+        hi = min(blocks, filled * width)
+        out[filled:hi] = flat[filled * period : hi * period].reshape(-1, period, 1) * table
         filled = hi
-    return out
+    return flat[:count]
 
 
 def empirical_correlation(
@@ -80,9 +104,7 @@ def empirical_correlation(
     if samples < 1:
         raise ValueError("need at least one sample")
     values = sequence_values(pattern_set, samples + shift, level)
-    left = values[:samples].astype(np.int64)
-    right = values[shift : shift + samples].astype(np.int64)
-    total = int(left @ right)
+    total = _product_sum(values[:samples], values[shift : shift + samples])
     return Estimate(total / samples, samples, shift)
 
 
@@ -108,12 +130,24 @@ def empirical_restricted_correlation(
     if not 0 <= residue < modulus:
         raise ValueError(f"residue must lie in [0, {modulus}), got {residue}")
     values = sequence_values(pattern_set, samples + shift, lvl)
-    left = values[residue:samples:modulus].astype(np.int64)
-    right = values[residue + shift : samples + shift : modulus][: len(left)].astype(
-        np.int64
-    )
-    total = int(left @ right)
+    left = values[residue:samples:modulus]
+    right = values[residue + shift : samples + shift : modulus][: len(left)]
+    total = _product_sum(left, right)
     return Estimate(modulus * total / samples, samples, shift, residue)
+
+
+def _product_sum(left: np.ndarray, right: np.ndarray) -> int:
+    """The sum of left * right over two +-1 arrays of one length.
+
+    Each term is 1 less 2 where the signs differ.  The differences are
+    counted in slices, so the comparison stays in cache and allocates
+    no fresh pages.
+    """
+    differ = 0
+    for start in range(0, len(left), 1 << 16):
+        stop = start + (1 << 16)
+        differ += int(np.count_nonzero(left[start:stop] != right[start:stop]))
+    return len(left) - 2 * differ
 
 
 def check_cancellation(pattern_set: PatternSet, middle: Word, first: int, second: int) -> int:

@@ -260,3 +260,15 @@ class TestDeepShifts:
             -(table.correlation(m) + table.correlation(m + 1)) / 2
         )
         assert table.correlation(2 * m + 1) != 0
+
+    def test_memo_keeps_only_asked_shifts(self):
+        # the levels below a deep shift are dropped once it is built, so
+        # the memo grows with the queries and not with their digit counts;
+        # tuple vectors leave the memo out of garbage collection passes
+        table = bootstrap(ps("1001,1011,1101,1111"))
+        asked = list(range(2, 40)) + [2**700 + 5, 2**700 + 6, 3**300]
+        for m in asked:
+            table.correlation(m)
+        table.restricted(5, 2**500 + 3)
+        assert set(table._memo) == {0, 1, 2**500 + 3, *asked}
+        assert all(type(values) is tuple for _, values in table._memo.values())

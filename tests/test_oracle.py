@@ -12,7 +12,7 @@ from patcorr.oracle import (
     saturated_closed_form,
     sequence_values,
 )
-from patcorr.pattern_sets import PatternSet, evaluate
+from patcorr.pattern_sets import PatternSet, evaluate, periodic_factor
 from patcorr.words import Word
 
 
@@ -38,6 +38,25 @@ class TestSequenceValues:
     def test_level_does_not_change_values(self):
         a = ps("1,11")
         assert np.array_equal(sequence_values(a, 256), sequence_values(a, 256, level=4))
+
+    @pytest.mark.parametrize(
+        "text,base", [("1001,1011,1101,1111", 2), ("12,201", 3), ("3,130", 4), ("24,4", 5)]
+    )
+    def test_matches_ratio_recursion_at_every_count(self, text, base):
+        # a(n) = h(n mod base**level) a(n floordiv base), one value at a
+        # time; the counts end inside, at and past the first block of
+        # base**level values and the first block of 256 or more columns
+        a = PatternSet.parse(text, base)
+        counts = {1, 2, base - 1, base, base + 1, 97, base**5, 4096, 4097, 49999}
+        for level in (a.length, a.length + 1):
+            ratio = periodic_factor(a, level).values
+            expected = [1]
+            for n in range(1, max(counts)):
+                expected.append(ratio[n % len(ratio)] * expected[n // base])
+            for count in counts:
+                values = sequence_values(a, count, level)
+                assert values.dtype == np.int8
+                assert values.tolist() == expected[:count]
 
 
 class TestEmpirical:
@@ -66,6 +85,24 @@ class TestEmpirical:
         for r in range(4):
             est = empirical_restricted_correlation(a, r, 1, 1 << 16)
             assert abs(est.value - float(table.restricted(r, 1))) < 5e-3
+
+    @pytest.mark.parametrize("text,base", [("10,11", 2), ("12,201", 3)])
+    def test_sums_equal_integer_dot_products(self, text, base):
+        a = PatternSet.parse(text, base)
+        K = base**a.length
+        # not a multiple of K, so the classes differ in size, and long
+        # enough that the differences are counted in several slices
+        samples = 200_003
+        for shift in (0, 1, 7, 40):
+            v = sequence_values(a, samples + shift).astype(np.int64)
+            full = int(v[:samples] @ v[shift : shift + samples])
+            assert empirical_correlation(a, shift, samples).value == full / samples
+            for r in range(K):
+                left = v[r:samples:K]
+                right = v[r + shift : samples + shift : K][: len(left)]
+                assert empirical_restricted_correlation(a, r, shift, samples).value == (
+                    K * int(left @ right) / samples
+                )
 
     def test_shift_zero_is_one(self):
         assert empirical_correlation(ps("11"), 0, 1000).value == 1.0
