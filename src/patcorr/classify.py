@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing
+from collections import Counter
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 from .decider import InternalConsistencyError, decide
 from .pattern_sets import (
@@ -264,51 +265,44 @@ def _subset(pool: Sequence[Word], mask: int) -> list[Word]:
     return [w for b, w in enumerate(pool) if (mask >> b) & 1]
 
 
-def _census_chunk(args: tuple) -> dict:
-    base, length, selection, lo, hi, keep = args
-    pool = _census_pool(base, length, selection)
-    by_exact_length: dict[int, int] = {}
-    noncorrelated = 0
-    peak = 0
-    total_created = 0
-    total_expansions = 0
-    masks: list[int] = []
-    timing = {"correlated": [0, 0.0], "noncorrelated": [0, 0.0]}
-    for mask in range(lo, hi):
-        candidate = PatternSet(base, tuple(_subset(pool, mask)))
-        started = time.perf_counter()
-        decision = decide(candidate)
-        elapsed = time.perf_counter() - started
-        bucket = timing[decision.verdict]
-        bucket[0] += 1
-        bucket[1] += elapsed
-        peak = max(peak, decision.elements_created)
-        total_created += decision.elements_created
-        total_expansions += decision.expansions
-        if decision.noncorrelated:
-            noncorrelated += 1
-            exact = remove_leading_zeros(candidate).length
-            by_exact_length[exact] = by_exact_length.get(exact, 0) + 1
-            if keep:
-                masks.append(mask)
-    return {
-        "count": hi - lo,
-        "noncorrelated": noncorrelated,
-        "by_exact_length": by_exact_length,
-        "peak": peak,
-        "created": total_created,
-        "expansions": total_expansions,
-        "masks": masks,
-        "timing": timing,
-    }
+def _sweep_chunk(args: tuple) -> list:
+    visit, pool_args, lo, hi = args
+    base = pool_args[0]
+    pool = _census_pool(*pool_args)
+    return [visit(PatternSet(base, tuple(_subset(pool, mask)))) for mask in range(lo, hi)]
 
 
-def _run_chunks(chunk_args: list[tuple], workers: int) -> list[dict]:
-    if workers <= 1 or len(chunk_args) <= 1:
-        return [_census_chunk(args) for args in chunk_args]
-    context = multiprocessing.get_context("fork")
-    with context.Pool(workers) as pool:
-        return pool.map(_census_chunk, chunk_args)
+def _sweep(visit: Callable[[PatternSet], tuple], pool_args: tuple, workers: int) -> list:
+    """visit(candidate) for every subset of a census pool, in mask order.
+
+    The masks are cut into workers * 4 contiguous chunks.  One worker
+    runs them in this process; more workers share a process pool from
+    the platform's default start method, with at most one process per
+    chunk.  visit must be a module-level function, so that it pickles.
+    The results come back in chunk order, so a merge over them gives
+    the same report for any worker count.
+    """
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
+    total = 1 << len(_census_pool(*pool_args))
+    pieces = min(total, workers * 4)
+    bounds = [total * i // pieces for i in range(pieces + 1)]
+    chunks = [(visit, pool_args, bounds[i], bounds[i + 1]) for i in range(pieces)]
+    if workers == 1:
+        results = map(_sweep_chunk, chunks)
+    else:
+        with multiprocessing.Pool(min(workers, pieces)) as processes:
+            results = processes.map(_sweep_chunk, chunks)
+    return [outcome for chunk in results for outcome in chunk]
+
+
+def _census_visit(candidate: PatternSet) -> tuple:
+    """Exact length (None when correlated), created, expansions, seconds."""
+    started = time.perf_counter()
+    decision = decide(candidate)
+    elapsed = time.perf_counter() - started
+    exact = remove_leading_zeros(candidate).length if decision.noncorrelated else None
+    return exact, decision.elements_created, decision.expansions, elapsed
 
 
 def census(
@@ -324,8 +318,11 @@ def census(
     given length; "self-invariant" takes every subset of the words of
     length up to the given one that begin and end in 1.  Only base 2 is
     supported: larger bases make even modest lengths astronomically
-    wide.  The merge over chunks is deterministic, so reports are
-    bit-identical for any worker count.
+    wide, and the family doubles with every word of the pool, so the
+    command line stops at 2**16 candidates (length 4 for "all", 5 for
+    "self-invariant").  Workers come from the platform's default
+    multiprocessing start method.  The merge over chunks is
+    deterministic, so reports are bit-identical for any worker count.
     """
     if base != 2:
         raise ValueError("the census supports base 2 only")
@@ -333,50 +330,33 @@ def census(
         raise ValueError("length must be at least 1")
     if selection not in SELECTIONS:
         raise ValueError(f"selection must be one of {SELECTIONS}, got {selection!r}")
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
-    pool = _census_pool(base, length, selection)
-    total = 1 << len(pool)
-    pieces = min(total, max(1, workers) * 4)
-    bounds = [total * i // pieces for i in range(pieces + 1)]
-    chunk_args = [
-        (base, length, selection, bounds[i], bounds[i + 1], keep_sets)
-        for i in range(pieces)
-    ]
-    results = _run_chunks(chunk_args, workers)
+    outcomes = _sweep(_census_visit, (base, length, selection), workers)
     by_exact_length: dict[int, int] = {}
-    noncorrelated = 0
-    peak = 0
-    created = 0
-    expansions = 0
     masks: list[int] = []
-    timing = {"correlated": {"count": 0, "seconds": 0.0}, "noncorrelated": {"count": 0, "seconds": 0.0}}
-    candidates = 0
-    for result in results:
-        candidates += result["count"]
-        noncorrelated += result["noncorrelated"]
-        for key, value in result["by_exact_length"].items():
-            by_exact_length[key] = by_exact_length.get(key, 0) + value
-        peak = max(peak, result["peak"])
-        created += result["created"]
-        expansions += result["expansions"]
-        masks.extend(result["masks"])
-        for verdict, (count, seconds) in result["timing"].items():
-            timing[verdict]["count"] += count
-            timing[verdict]["seconds"] += seconds
+    timing = {
+        verdict: {"count": 0, "seconds": 0.0} for verdict in ("correlated", "noncorrelated")
+    }
+    for mask, (exact, _, _, elapsed) in enumerate(outcomes):
+        bucket = timing["correlated" if exact is None else "noncorrelated"]
+        bucket["count"] += 1
+        bucket["seconds"] += elapsed
+        if exact is not None:
+            by_exact_length[exact] = by_exact_length.get(exact, 0) + 1
+            masks.append(mask)
     names = None
     if keep_sets:
+        pool = _census_pool(base, length, selection)
         names = [str(PatternSet(base, tuple(_subset(pool, mask)))) for mask in masks]
     return CensusReport(
         base=base,
         length=length,
         selection=selection,
-        candidates=candidates,
-        noncorrelated=noncorrelated,
+        candidates=len(outcomes),
+        noncorrelated=len(masks),
         by_exact_length=dict(sorted(by_exact_length.items())),
-        peak_stored=peak,
-        total_created=created,
-        total_expansions=expansions,
+        peak_stored=max(created for _, created, _, _ in outcomes),
+        total_created=sum(created for _, created, _, _ in outcomes),
+        total_expansions=sum(expansions for _, _, expansions, _ in outcomes),
         noncorrelated_sets=names,
         timing=timing,
     )
@@ -413,72 +393,37 @@ class EquivalenceReport:
         }
 
 
-def _equivalence_chunk(args: tuple) -> dict:
-    max_length, lo, hi = args
-    pool = _census_pool(2, max_length, "self-invariant")
-    by_length: dict[int, int] = {}
-    mismatches: list[str] = []
-    peak = 0
-    for mask in range(lo, hi):
-        candidate = PatternSet(2, tuple(_subset(pool, mask)))
-        if candidate.size == 0 or candidate.length < 2:
-            saturated = False
-        else:
-            saturated = is_saturated(candidate)
-        decision = decide(candidate)
-        peak = max(peak, decision.elements_created)
-        if decision.noncorrelated != saturated:
-            mismatches.append(str(candidate))
-        if decision.noncorrelated:
-            exact = candidate.length
-            by_length[exact] = by_length.get(exact, 0) + 1
-    return {
-        "count": hi - lo,
-        "by_length": by_length,
-        "mismatches": mismatches,
-        "peak": peak,
-    }
+def _equivalence_visit(candidate: PatternSet) -> tuple:
+    """Length (None when correlated), mismatch name or None, created."""
+    # saturation is undefined below length 2; those sets must decide correlated
+    saturated = candidate.size > 0 and candidate.length >= 2 and is_saturated(candidate)
+    decision = decide(candidate)
+    mismatch = str(candidate) if decision.noncorrelated != saturated else None
+    length = candidate.length if decision.noncorrelated else None
+    return length, mismatch, decision.elements_created
 
 
 def check_theorem_c(max_length: int, workers: int = 1) -> EquivalenceReport:
     """Compare saturation with the decided verdict on every candidate.
 
     Sweeps all subsets of the binary words of length at most max_length
-    that begin and end in 1.  Every mismatch would be a counterexample
-    to the equivalence between saturation and noncorrelation on
-    self-invariant sets, so the mismatch list is expected empty.
+    that begin and end in 1, through the same chunked engine as the
+    census: workers come from the platform's default start method, and
+    the command line stops at max_length 5 (2**16 candidates).  Every
+    mismatch would be a counterexample to the equivalence between
+    saturation and noncorrelation on self-invariant sets, so the
+    mismatch list is expected empty.
     """
     if max_length < 1:
         raise ValueError("max_length must be at least 1")
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
-    pool = _census_pool(2, max_length, "self-invariant")
-    total = 1 << len(pool)
-    pieces = min(total, max(1, workers) * 4)
-    bounds = [total * i // pieces for i in range(pieces + 1)]
-    chunk_args = [(max_length, bounds[i], bounds[i + 1]) for i in range(pieces)]
-    if workers <= 1 or len(chunk_args) <= 1:
-        results = [_equivalence_chunk(args) for args in chunk_args]
-    else:
-        context = multiprocessing.get_context("fork")
-        with context.Pool(workers) as mp_pool:
-            results = mp_pool.map(_equivalence_chunk, chunk_args)
-    by_length: dict[int, int] = {}
-    mismatches: list[str] = []
-    peak = 0
-    candidates = 0
-    for result in results:
-        candidates += result["count"]
-        for key, value in result["by_length"].items():
-            by_length[key] = by_length.get(key, 0) + value
-        mismatches.extend(result["mismatches"])
-        peak = max(peak, result["peak"])
+    outcomes = _sweep(_equivalence_visit, (2, max_length, "self-invariant"), workers)
+    by_length = Counter(length for length, _, _ in outcomes if length is not None)
     return EquivalenceReport(
         max_length=max_length,
-        candidates=candidates,
+        candidates=len(outcomes),
         noncorrelated_by_length=dict(sorted(by_length.items())),
-        mismatches=mismatches,
-        peak_stored=peak,
+        mismatches=[mismatch for _, mismatch, _ in outcomes if mismatch is not None],
+        peak_stored=max(created for _, _, created in outcomes),
     )
 
 

@@ -37,6 +37,13 @@ from .suites import SUITE_NAMES, run_suite
 # length 8.  Beyond it even the tables take minutes to build, and a
 # decision far longer.
 MAX_MODULUS = 256
+# Largest --workers of census and verify, and largest census family.
+# Every pool word doubles the family, so 2**16 candidates means --length
+# at most 4 for "all" and 5 for "self-invariant"; the largest, the
+# self-invariant length-5 family, takes about 53 s with 2 workers on a
+# 2-vCPU machine.
+MAX_WORKERS = 64
+MAX_CANDIDATES = 1 << 16
 # Largest --max-shift sweep, largest bit length of one --shift, and
 # largest prefix samples + shift that estimate reads.  At the largest
 # modulus each answers within 2 s on a 2-vCPU machine.  The sweep peaks
@@ -227,7 +234,23 @@ def _render_census(report: CensusReport, ns: argparse.Namespace) -> None:
             )
 
 
+def _check_workers(workers: int) -> None:
+    if workers > MAX_WORKERS:
+        raise _UsageError(f"--workers {workers} exceeds {MAX_WORKERS}")
+
+
 def _cmd_census(ns: argparse.Namespace) -> int:
+    _check_workers(ns.workers)
+    if ns.length >= 1:
+        # the pool holds 2**length - 1 words for "all" and 2**(length - 1)
+        # for "self-invariant"; length 17 is past the limit for both, so
+        # the cap keeps the powers small
+        length = min(ns.length, 17)
+        words = (1 << length) - 1 if ns.selection == "all" else 1 << (length - 1)
+        if 1 << words > MAX_CANDIDATES:
+            raise _UsageError(
+                f"--length {ns.length} gives more than {MAX_CANDIDATES} candidates"
+            )
     report = census(
         ns.base,
         ns.length,
@@ -311,6 +334,7 @@ def _cmd_estimate(ns: argparse.Namespace) -> int:
 
 
 def _cmd_verify(ns: argparse.Namespace) -> int:
+    _check_workers(ns.workers)
     result = run_suite(ns.suite, workers=ns.workers)
     if ns.structured:
         _emit(result.to_record())

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Union
 
 from .pattern_sets import PatternSet, PeriodicFactor, periodic_factor, _operating_level
@@ -48,11 +49,11 @@ class CorrelationTable:
     """Shift-1 restricted correlations of one set at one operating length.
 
     entries[r] is the exact limit of base**level times the average of
-    a(n) a(n + 1) over n = r mod base**level, and equals
-    numerators[r] / denominator.  General shifts reduce to these one
-    digit at a time through a memo keyed by shift alone: the entry
-    (e, V) of a shift gives the restricted value on class r as
-    V[r] / (denominator * base**e).  V is a tuple of ints, which the
+    a(n) a(n + 1) over n = r mod base**level; it equals
+    numerators[r] / denominator and is built on first read.  General
+    shifts reduce to these one digit at a time through a memo keyed by
+    shift alone: the entry (e, V) of a shift gives the restricted value
+    on class r as V[r] / (denominator * base**e).  V is a tuple of ints, which the
     garbage collector stops tracking, so a large memo adds nothing to
     its collections.
     """
@@ -60,7 +61,6 @@ class CorrelationTable:
     base: int
     level: int
     factor: PeriodicFactor
-    entries: tuple[Fraction, ...]
     numerators: tuple[int, ...]
     denominator: int
     _memo: dict[int, tuple[int, tuple[int, ...]]] = field(
@@ -75,6 +75,10 @@ class CorrelationTable:
     def modulus(self) -> int:
         return self.base**self.level
 
+    @cached_property
+    def entries(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, self.denominator) for n in self.numerators)
+
     def restricted(self, residue: int, shift: int) -> Fraction:
         """The restricted correlation on one class at one shift."""
         modulus = self.modulus
@@ -84,8 +88,6 @@ class CorrelationTable:
             raise ValueError("shift must be nonnegative")
         if shift == 0:
             return ONE
-        if shift == 1:
-            return self.entries[residue]
         e, values = self._values(shift)
         return Fraction(values[residue], self.denominator * self.base**e)
 
@@ -204,8 +206,7 @@ def bootstrap(pattern_set: PatternSet, level: Union[int, None] = None) -> Correl
     tail = sum(scaled[stride * (d + 1) - 1] for d in range(base - 1))
     numerators = tuple(x * (base - wrap) for x in scaled[:-1]) + (wrap * tail,)
     denominator = top * (base - wrap)
-    entries = tuple(Fraction(n, denominator) for n in numerators)
-    return CorrelationTable(base, lvl, h, entries, numerators, denominator)
+    return CorrelationTable(base, lvl, h, numerators, denominator)
 
 
 def restricted_correlation(

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Union
 
-from .words import Word, check_base, count_in_integer, count_set, expand, value_of
+from .words import Word, check_base, count_in_integer, count_set
 
 
 class ReconstructionError(ValueError):
@@ -83,16 +83,6 @@ class PatternSet:
         table = _constant_length_words(base, length)
         words = [table[v] for v in range(1, total) if (mask >> v) & 1]
         return cls(base, tuple(words))
-
-    def to_mask(self, length: Union[int, None] = None) -> int:
-        """Bitmask of word values; requires every word to have the given length."""
-        length = self.length if length is None else length
-        mask = 0
-        for w in self.words:
-            if len(w) != length:
-                raise ValueError("to_mask needs a constant-length set")
-            mask |= 1 << value_of(w)
-        return mask
 
     @property
     def length(self) -> int:

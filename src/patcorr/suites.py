@@ -9,6 +9,7 @@ run from fixed seeds.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -202,7 +203,7 @@ def _saturated_props(workers: int) -> list[CheckResult]:
         base = candidate.base
         reduced = remove_leading_zeros(candidate)
         length = reduced.length
-        for u_digits in _all_interiors(base, length):
+        for u_digits in itertools.product(range(base), repeat=length - 2):
             for first in range(base):
                 for second in range(first + 1, base):
                     total = check_cancellation(reduced, Word(base, u_digits), first, second)
@@ -223,12 +224,6 @@ def _saturated_props(workers: int) -> list[CheckResult]:
     _check(checks, "cancellation sums vanish", all_cancel, first_failure or "all interiors")
     _check(checks, "closed form matches recursion", all_closed, first_failure or "shifts up to 2k")
     return checks
-
-
-def _all_interiors(base: int, length: int):
-    import itertools
-
-    return itertools.product(range(base), repeat=length - 2)
 
 
 def _kernel_props(workers: int) -> list[CheckResult]:

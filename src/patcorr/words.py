@@ -99,18 +99,6 @@ def value_of(word: Word) -> int:
     return n
 
 
-def count_occurrences(needle: Word, haystack: Word) -> int:
-    """Number of windows of haystack equal to needle, overlaps included."""
-    if needle.base != haystack.base:
-        raise ValueError("cannot count across different bases")
-    if len(needle) == 0:
-        raise ValueError("cannot count occurrences of the empty word")
-    nd = needle.digits
-    hd = haystack.digits
-    span = len(nd)
-    return sum(1 for j in range(len(hd) - span + 1) if hd[j : j + span] == nd)
-
-
 def padded_digits(n: int, base: int, pad: int) -> tuple[int, ...]:
     """Digits of n with `pad` zeros stuck on the left."""
     return (0,) * pad + expand(n, base).digits

@@ -1,4 +1,9 @@
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -164,9 +169,11 @@ class TestCensus:
         assert report.by_exact_length == {2: 2, 3: 4, 4: 16}
 
     def test_worker_counts_agree(self):
-        lone = census(2, 3, "all", workers=1, keep_sets=True)
-        multi = census(2, 3, "all", workers=4, keep_sets=True)
-        assert lone.to_record() == multi.to_record()
+        # at length 1 there are 2 candidates, so 8 workers get 2 chunks
+        for length, workers in ((3, 4), (1, 8)):
+            lone = census(2, length, "all", workers=1, keep_sets=True)
+            multi = census(2, length, "all", workers=workers, keep_sets=True)
+            assert lone.to_record() == multi.to_record()
 
     def test_record_drops_timing(self):
         report = census(2, 2)
@@ -201,6 +208,11 @@ class TestEquivalenceSweep:
         assert report.noncorrelated_by_length == {2: 2, 3: 4, 4: 16}
         assert report.mismatches == []
 
+    def test_worker_counts_agree(self):
+        lone = check_theorem_c(4, workers=1).to_record()
+        for workers in (2, 4):
+            assert check_theorem_c(4, workers=workers).to_record() == lone
+
     def test_record_is_structured(self):
         record = check_theorem_c(2).to_record()
         assert record == {
@@ -210,6 +222,40 @@ class TestEquivalenceSweep:
             "mismatches": [],
             "peak_stored": record["peak_stored"],
         }
+
+
+SPAWNED_SWEEPS = """
+import json
+import multiprocessing
+
+from patcorr.classify import census, check_theorem_c
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method("spawn")
+    print(json.dumps({
+        "method": multiprocessing.get_start_method(),
+        "census": census(2, 3, keep_sets=True, workers=2).to_record(),
+        "theorem_c": check_theorem_c(3, workers=2).to_record(),
+    }))
+"""
+
+
+def test_sweeps_run_under_spawn():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+    done = subprocess.run(
+        [sys.executable, "-c", SPAWNED_SWEEPS],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+        check=True,
+    )
+    spawned = json.loads(done.stdout)
+    assert spawned["method"] == "spawn"
+    assert spawned["census"] == census(2, 3, keep_sets=True).to_record()
+    assert spawned["theorem_c"] == check_theorem_c(3).to_record()
 
 
 class TestTwist:

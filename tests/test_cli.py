@@ -2,7 +2,14 @@ import json
 
 import pytest
 
-from patcorr.cli import MAX_PREFIX, MAX_SHIFT_BITS, MAX_SWEEP, run
+from patcorr.cli import (
+    MAX_CANDIDATES,
+    MAX_PREFIX,
+    MAX_SHIFT_BITS,
+    MAX_SWEEP,
+    MAX_WORKERS,
+    run,
+)
 from patcorr.correlation import correlation
 from patcorr.pattern_sets import PatternSet
 
@@ -110,6 +117,11 @@ class TestCensusCommand:
     def test_bad_base(self, capsys):
         assert run(["census", "--length", "2", "--base", "3"]) == 1
 
+    def test_length_limit(self, capsys):
+        # length 5 has 2**31 candidates; refused before the pool is built
+        assert run(["census", "--length", "5"]) == 1
+        assert f"more than {MAX_CANDIDATES} candidates" in capsys.readouterr().err
+
 
 class TestSaturationCommand:
     def test_saturated(self, capsys):
@@ -189,6 +201,12 @@ class TestVerifyCommand:
 class TestParsing:
     def test_unknown_command(self, capsys):
         assert run(["frobnicate"]) == 1
+
+    def test_workers_limit(self, capsys):
+        # refused before any process starts
+        for argv in (["census", "--length", "2"], ["verify", "--suite", "smoke"]):
+            assert run(argv + ["--workers", str(MAX_WORKERS + 1)]) == 1
+            assert f"exceeds {MAX_WORKERS}" in capsys.readouterr().err
 
     def test_bad_set_text(self, capsys):
         assert run(["decide", "-s", "12"]) == 1

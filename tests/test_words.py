@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 from patcorr.words import (
     Word,
     count_in_integer,
-    count_occurrences,
     count_set,
     expand,
     padded_digits,
@@ -64,15 +63,18 @@ class TestExpand:
 
 class TestCounting:
     def test_overlapping(self):
-        assert count_occurrences(w("11"), w("111")) == 2
-        assert count_occurrences(w("010"), w("01010")) == 2
+        # 7 spells 111 and 10 spells 1010; windows overlap
+        assert count_in_integer(w("11"), 7) == 2
+        assert count_in_integer(w("010"), 10) == 2
 
     def test_needle_longer_than_haystack(self):
-        assert count_occurrences(w("10"), w("1")) == 0
+        # 1 spells 1, shorter than the needle; the padding adds no match
+        assert count_in_integer(w("10"), 1) == 0
+        assert count_in_integer(w("101"), 1) == 0
 
     def test_empty_needle_rejected(self):
         with pytest.raises(ValueError):
-            count_occurrences(Word(2, ()), w("10"))
+            count_in_integer(Word(2, ()), 2)
 
     def test_padding_in_integer(self):
         # 2 reads as 010 once padded for a length-2 word
