@@ -266,34 +266,39 @@ def _subset(pool: Sequence[Word], mask: int) -> list[Word]:
 
 
 def _sweep_chunk(args: tuple) -> list:
-    visit, pool_args, lo, hi = args
+    visit, pool_args, start, step = args
     base = pool_args[0]
     pool = _census_pool(*pool_args)
-    return [visit(PatternSet(base, tuple(_subset(pool, mask)))) for mask in range(lo, hi)]
+    masks = range(start, 1 << len(pool), step)
+    return [visit(PatternSet(base, tuple(_subset(pool, mask)))) for mask in masks]
 
 
 def _sweep(visit: Callable[[PatternSet], tuple], pool_args: tuple, workers: int) -> list:
     """visit(candidate) for every subset of a census pool, in mask order.
 
-    The masks are cut into workers * 4 contiguous chunks.  One worker
-    runs them in this process; more workers share a process pool from
-    the platform's default start method, with at most one process per
-    chunk.  visit must be a module-level function, so that it pickles.
-    The results come back in chunk order, so a merge over them gives
-    the same report for any worker count.
+    The masks are dealt out to workers * 4 chunks, chunk i taking masks
+    i, i + chunks, and so on, so that the costly noncorrelated sets,
+    which gather in the high masks, spread over all of them.  One worker
+    runs the chunks in this process; more workers share a process pool
+    from the platform's default start method, with at most one process
+    per chunk.  visit must be a module-level function, so that it
+    pickles.  The results are put back in mask order, so a merge over
+    them gives the same report for any worker count.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
     total = 1 << len(_census_pool(*pool_args))
     pieces = min(total, workers * 4)
-    bounds = [total * i // pieces for i in range(pieces + 1)]
-    chunks = [(visit, pool_args, bounds[i], bounds[i + 1]) for i in range(pieces)]
+    chunks = [(visit, pool_args, i, pieces) for i in range(pieces)]
     if workers == 1:
         results = map(_sweep_chunk, chunks)
     else:
         with multiprocessing.Pool(min(workers, pieces)) as processes:
             results = processes.map(_sweep_chunk, chunks)
-    return [outcome for chunk in results for outcome in chunk]
+    outcomes: list = [None] * total
+    for start, chunk in enumerate(results):
+        outcomes[start::pieces] = chunk
+    return outcomes
 
 
 def _census_visit(candidate: PatternSet) -> tuple:

@@ -25,8 +25,16 @@ integer sums, and a form's value at 0 is one integer dot product
 against the shift-1 numerators over their common denominator, so a
 step makes Fractions only for the child's scale and for that value.
 
-The span tests are the bulk of a noncorrelated decision, whose classes
-fill up to 2K rows.  A class therefore keeps its first DENSE_ROWS rows
+A step on class q sends its child to the base classes stride * d +
+q // base, stride = K / base (the positive-multiples class K standing
+in for 0), which all lie in one carry group t % stride.  Every class
+starts from the same seed, so the classes of a group receive the same
+vectors in the same order and hold the same span.  The closure
+therefore keeps one row space per group, K / base of them, and tests
+each child vector once for all base classes it reaches.
+
+The span tests are the bulk of a noncorrelated decision, whose groups
+fill up to 2K rows.  A group therefore keeps its first DENSE_ROWS rows
 in Python lists, which is all a correlated decision usually needs, and
 then moves them to an int64 array that reduces a vector against every
 row in one matrix-vector product.  Each array operation is bounded in
@@ -104,9 +112,11 @@ class Decision:
 class ResidueBasis:
     """Per-class integer row spaces kept in reduced echelon form.
 
-    Rows are primitive (content 1, positive pivot) and each row is zero
-    at every other row's pivot column, so membership in the span is a
-    single reduction pass and the stored shape is canonical.
+    A class is any index in [0, classes]; decide uses index g for the
+    carry group g of its residue classes.  Rows are primitive (content
+    1, positive pivot) and each row is zero at every other row's pivot
+    column, so membership in the span is a single reduction pass and the
+    stored shape is canonical.
 
     A class starts out as a list of (pivot, row) pairs in pivot order
     and is reduced one row at a time.  Once it holds DENSE_ROWS rows it
@@ -119,8 +129,8 @@ class ResidueBasis:
         if classes < 1 or width < 1:
             raise ValueError("need at least one class and a positive width")
         self._width = width
-        # index q in [1, classes] is a plain class; index classes is the
-        # positive-multiples class, index 0 stays unused by convention
+        # classes + 1 slots, so that callers may number their classes
+        # from 0 or from 1
         self._rows: list[Union[list[tuple[int, list[int]]], _DenseRows]] = [
             [] for _ in range(classes + 1)
         ]
@@ -447,16 +457,16 @@ def decide(pattern_set: PatternSet, level: Union[int, None] = None) -> Decision:
     table = bootstrap(pattern_set, level)
     base = table.base
     modulus = table.modulus
-    width = 2 * modulus
-    basis = ResidueBasis(modulus, width)
-    queue: deque[BasisElement] = deque()
+    stride = modulus // base
+    # the classes t of a carry group t % stride hold the same rows, so
+    # one row space per group answers for all of them
+    basis = ResidueBasis(stride, 2 * modulus)
     seed = (1,) * modulus + (0,) * modulus
+    for group in range(stride):
+        basis.insert(group, seed)
     one = Fraction(1)
-    created = 0
-    for t in range(1, modulus + 1):
-        basis.insert(t, seed)
-        queue.append(BasisElement(t, seed, one, ()))
-        created += 1
+    queue = deque(BasisElement(t, seed, one, ()) for t in range(1, modulus + 1))
+    created = modulus
     expansions = 0
     while queue:
         element = queue.popleft()
@@ -467,11 +477,14 @@ def decide(pattern_set: PatternSet, level: Union[int, None] = None) -> Decision:
             return _correlated_decision(
                 table, provenance, point_value, created, expansions
             )
-        for child in children:
-            if basis.insert(child.residue, child.coeffs):
-                queue.append(child)
-                created += 1
-    capacity = 2 * modulus * (modulus + 1)
+        if basis.insert(children[0].residue % stride, children[0].coeffs):
+            queue.extend(children)
+            created += len(children)
+    if created != base * basis.total_rows:
+        raise InternalConsistencyError(
+            f"stored {created} elements for {basis.total_rows} group rows"
+        )
+    capacity = 2 * modulus * modulus
     if created > capacity:
         raise InternalConsistencyError(
             f"stored {created} elements, above the capacity bound {capacity}"

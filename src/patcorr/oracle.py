@@ -171,14 +171,14 @@ def check_cancellation(pattern_set: PatternSet, middle: Word, first: int, second
 
 
 @lru_cache(maxsize=64)
-def _saturated_reduced(pattern_set: PatternSet) -> PatternSet:
-    """The leading-zero-free form of a saturated set, validated once per set."""
+def _saturated_reduced(pattern_set: PatternSet) -> tuple[PatternSet, int]:
+    """A saturated set's leading-zero-free form and modulus, checked once."""
     from .classify import is_saturated
 
     reduced = remove_leading_zeros(pattern_set)
     if not is_saturated(reduced):
         raise ValueError("the closed form needs a saturated set")
-    return reduced
+    return reduced, reduced.base**reduced.length
 
 
 def saturated_closed_form(pattern_set: PatternSet, residue: int, shift: int) -> Fraction:
@@ -189,9 +189,8 @@ def saturated_closed_form(pattern_set: PatternSet, residue: int, shift: int) -> 
     otherwise.  The operating length is the longest word length of the
     leading-zero-free form.
     """
-    reduced = _saturated_reduced(pattern_set)
+    reduced, modulus = _saturated_reduced(pattern_set)
     base = reduced.base
-    modulus = base**reduced.length
     if not 0 <= residue < modulus:
         raise ValueError(f"residue must lie in [0, {modulus}), got {residue}")
     if shift < 1:

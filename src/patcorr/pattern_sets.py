@@ -15,7 +15,7 @@ of the one-digit-longer words d.v over all digits d.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Iterator, Union
 
 from .words import Word, check_base, count_in_integer, count_set
@@ -84,7 +84,7 @@ class PatternSet:
         words = [table[v] for v in range(1, total) if (mask >> v) & 1]
         return cls(base, tuple(words))
 
-    @property
+    @cached_property
     def length(self) -> int:
         """Length of the longest word; 1 for the empty set."""
         return max((len(w) for w in self.words), default=1)

@@ -169,8 +169,9 @@ class TestCensus:
         assert report.by_exact_length == {2: 2, 3: 4, 4: 16}
 
     def test_worker_counts_agree(self):
-        # at length 1 there are 2 candidates, so 8 workers get 2 chunks
-        for length, workers in ((3, 4), (1, 8)):
+        # at length 1 there are 2 candidates, so 8 workers get 2 chunks;
+        # 3 workers deal the 128 length-3 masks to 12 chunks unevenly
+        for length, workers in ((3, 4), (3, 3), (1, 8)):
             lone = census(2, length, "all", workers=1, keep_sets=True)
             multi = census(2, length, "all", workers=workers, keep_sets=True)
             assert lone.to_record() == multi.to_record()
@@ -209,8 +210,9 @@ class TestEquivalenceSweep:
         assert report.mismatches == []
 
     def test_worker_counts_agree(self):
+        # 3 workers deal the 256 masks to 12 chunks unevenly
         lone = check_theorem_c(4, workers=1).to_record()
-        for workers in (2, 4):
+        for workers in (2, 3, 4):
             assert check_theorem_c(4, workers=workers).to_record() == lone
 
     def test_record_is_structured(self):

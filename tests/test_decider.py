@@ -1,3 +1,4 @@
+import json
 import random
 from collections import deque
 from fractions import Fraction
@@ -7,11 +8,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from patcorr import decider
-from patcorr.classify import saturated_family_from_hadamard, sylvester_hadamard
+from patcorr.classify import (
+    random_hadamard_family,
+    saturated_family_from_hadamard,
+    sylvester_hadamard,
+)
 from patcorr.correlation import bootstrap
 from patcorr.decider import (
     DENSE_ROWS,
     BasisElement,
+    Decision,
     InternalConsistencyError,
     ResidueBasis,
     decide,
@@ -534,3 +540,107 @@ class TestCapacity:
             decision = decide(a)
             K = 2 ** a.length
             assert decision.elements_created <= 2 * K * (K + 1)
+
+    def test_group_rows_account_for_every_element(self, monkeypatch):
+        # each stored group row stands for one element in each of the
+        # base classes of its group; a count that disagrees is an error
+        monkeypatch.setattr(ResidueBasis, "total_rows", property(lambda basis: 1))
+        with pytest.raises(InternalConsistencyError):
+            decide(ps("11"))
+
+
+def _decide_per_class(pattern_set):
+    """Reference: the closure with one row space for every residue class.
+
+    Returns the decision and the basis, whose class t in 1..K must hold
+    the rows that decide keeps for the carry group t % (K / base).
+    """
+    table = bootstrap(pattern_set)
+    base, modulus = table.base, table.modulus
+    basis = ResidueBasis(modulus, 2 * modulus)
+    queue = deque()
+    seed = (1,) * modulus + (0,) * modulus
+    created = 0
+    for t in range(1, modulus + 1):
+        basis.insert(t, seed)
+        queue.append(BasisElement(t, seed, F(1), ()))
+        created += 1
+    expansions = 0
+    while queue:
+        element = queue.popleft()
+        expansions += 1
+        children, point = expand_element(element, table)
+        if point is not None and point != 0:
+            provenance = element.provenance + (element.residue % base,)
+            decision = decider._correlated_decision(
+                table, provenance, point, created, expansions
+            )
+            return decision, basis
+        for child in children:
+            if basis.insert(child.residue, child.coeffs):
+                queue.append(child)
+                created += 1
+    return Decision(True, None, None, created, expansions), basis
+
+
+def _binary_up_to_three():
+    for length in (1, 2, 3):
+        for mask in range(1 << (2**length - 1)):
+            yield PatternSet.from_mask(2, length, mask << 1)
+
+
+def _binary_four_sample():
+    rng = random.Random(41)
+    for _ in range(300):
+        yield PatternSet.from_mask(2, 4, rng.randrange(1 << 15) << 1)
+
+
+def _base_three_two_digit():
+    for mask in range(1, 1 << 8):
+        yield PatternSet.from_mask(3, 2, mask << 1)
+
+
+def _base_four_hadamard():
+    for length in (2, 3):
+        yield saturated_family_from_hadamard(sylvester_hadamard(4), length)
+        yield random_hadamard_family(4, length, random.Random(length))
+
+
+def _binary_saturated_five():
+    yield saturated_family_from_hadamard(sylvester_hadamard(2), 5)
+
+
+class TestGroupedClosure:
+    @pytest.mark.parametrize(
+        "family",
+        [
+            _binary_up_to_three,
+            _binary_four_sample,
+            _base_three_two_digit,
+            _base_four_hadamard,
+            _binary_saturated_five,
+        ],
+        ids=lambda family: family.__name__.strip("_"),
+    )
+    def test_matches_per_class_closure(self, family, monkeypatch):
+        grouped = []
+
+        class Recorded(ResidueBasis):
+            def __init__(self, classes, width):
+                super().__init__(classes, width)
+                grouped.append(self)
+
+        monkeypatch.setattr(decider, "ResidueBasis", Recorded)
+        for a in family():
+            grouped.clear()
+            record = json.dumps(decide(a).to_record())
+            expected, per_class = _decide_per_class(a)
+            assert record == json.dumps(expected.to_record()), str(a)
+            (basis,) = grouped
+            modulus = per_class.width // 2
+            stride = modulus // a.base
+            # each class holds its group's rows, so a group's classes agree
+            for t in range(1, modulus + 1):
+                rows = basis.stored_rows(t % stride)
+                assert per_class.stored_rows(t) == rows, (str(a), t)
+            assert per_class.total_rows == a.base * basis.total_rows

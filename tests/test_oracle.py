@@ -166,6 +166,16 @@ class TestClosedForm:
         with pytest.raises(ValueError):
             saturated_closed_form(ps("111"), 0, 1)
 
+    def test_rejects_residue_outside_modulus(self):
+        # the modulus is that of the leading-zero-free form, 2**2 here;
+        # the second round of calls finds the set in the cache
+        for _ in range(2):
+            for text in ("11", "011,111"):
+                assert saturated_closed_form(ps(text), 3, 1) == 0
+                for r in (-1, 4):
+                    with pytest.raises(ValueError):
+                        saturated_closed_form(ps(text), r, 1)
+
     def test_rejects_shift_zero(self):
         with pytest.raises(ValueError):
             saturated_closed_form(ps("11"), 0, 0)
