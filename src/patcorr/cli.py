@@ -34,8 +34,10 @@ from .pattern_sets import (
 from .suites import SUITE_NAMES, run_suite
 
 # Largest operating modulus base**level a set command accepts: binary
-# length 8.  Beyond it even the tables take minutes to build, and a
-# decision far longer.
+# length 8.  Decision time and memory set the limit, not the tables
+# (bootstrap takes about 0.6 s at K = 512): a saturated binary length-8
+# decision takes about 20 s and 130 MB on a 2-vCPU machine, and each
+# doubling of K multiplies the time and the rows' memory by about 8.
 MAX_MODULUS = 256
 # Largest --workers of census and verify, and largest census family.
 # Every pool word doubles the family, so 2**16 candidates means --length

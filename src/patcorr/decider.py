@@ -18,13 +18,6 @@ comes out.  If instead the space closes with every such evaluation
 zero, all correlations vanish: the closure then spans a shift-invariant
 space of forms that vanish at 0, and such a space must be trivial.
 
-Exact arithmetic throughout: vectors hold integers and each element
-carries an exact rational scale, while the span tests run on primitive
-integer rows.  A closure step adds each coefficient once into one of two
-integer sums, and a form's value at 0 is one integer dot product
-against the shift-1 numerators over their common denominator, so a
-step makes Fractions only for the child's scale and for that value.
-
 A step on class q sends its child to the base classes stride * d +
 q // base, stride = K / base (the positive-multiples class K standing
 in for 0), which all lie in one carry group t % stride.  Every class
@@ -33,13 +26,31 @@ vectors in the same order and hold the same span.  The closure
 therefore keeps one row space per group, K / base of them, and tests
 each child vector once for all base classes it reaches.
 
+The child's blocks are each one sum of width stride repeated base
+times, and the seed's blocks are constant, so every vector of the
+closure is tiled with period stride in both blocks.  The closure runs
+on the first period of each block, 2K / base numbers instead of 2K: a
+step is one product of that vector with the class's signs, folded by
+carry into the low and high halves, and the span tests reduce vectors
+base times shorter.  Tiling keeps pivots, primitive rows and
+membership, so the stored rows are exactly the full-width ones cut to
+their first periods.
+
+Exact arithmetic throughout: vectors hold integers, and an element's
+scale is an integer numerator over base**(digits consumed), while the
+span tests run on primitive integer rows.  A form's value at 0 is one
+integer dot product against the shift-1 numerators over their common
+denominator, so a Fraction is made only for a nonzero value, that is
+for a witness.
+
 The span tests are the bulk of a noncorrelated decision, whose groups
-fill up to 2K rows.  A group therefore keeps its first DENSE_ROWS rows
-in Python lists, which is all a correlated decision usually needs, and
-then moves them to an int64 array that reduces a vector against every
-row in one matrix-vector product.  Each array operation is bounded in
-advance and runs on Python ints when the bound fails, so the stored
-rows and every answer are the same as with lists alone.
+fill up to 2K / base rows.  A group therefore keeps its first DENSE_ROWS
+rows in Python lists, which is all a correlated decision usually needs,
+and then moves them to an int64 array that reduces a vector against
+every row in one matrix-vector product.  Each array operation, and
+each step's product, is bounded in advance and runs on Python ints when
+the bound fails, so the stored rows and every answer are the same as
+with lists alone.
 """
 
 from __future__ import annotations
@@ -47,6 +58,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
 from typing import Optional, Sequence, Union
@@ -54,7 +66,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .correlation import CorrelationTable, bootstrap
-from .pattern_sets import PatternSet
+from .pattern_sets import PatternSet, PeriodicFactor
 
 
 class InternalConsistencyError(RuntimeError):
@@ -65,14 +77,16 @@ class InternalConsistencyError(RuntimeError):
 class BasisElement:
     """One stored form: class index, integer coefficients, scale, digit trail.
 
-    coeffs is the flattened pair of blocks (offset 0, then offset 1),
-    each of length K, so its total width is 2K.  provenance lists the
+    The form has two coefficient blocks of length K (offset 0, then
+    offset 1), each tiled with period stride = K / base.  coeffs holds
+    the first period of each, so its width is 2K / base.  The form is
+    scale / base**len(provenance) times the blocks; provenance lists the
     digits consumed so far, least significant first.
     """
 
     residue: int
     coeffs: tuple[int, ...]
-    scale: Fraction
+    scale: int
     provenance: tuple[int, ...]
 
 
@@ -234,10 +248,12 @@ class _DenseRows:
     is a positive multiple of what the sequential reduction leaves: the
     rows are zero at each other's pivots, so row i clears pivot column
     i of v and no other.  The arrays hold int64 while row_max, each
-    row's largest |entry|, bounds every result below 2**62.  An
-    operation that fails its bound moves the class to Python ints
-    (dtype=object), so the arithmetic stays exact; the class goes back
-    to int64 at the first new row after which its rows and lcm fit.
+    row's largest |entry|, bounds every result below 2**62; a reduction
+    checks one bound, gain times the vector's largest |entry|, with gain
+    fixed at each new row.  An operation that fails its bound moves the
+    class to Python ints (dtype=object), so the arithmetic stays exact;
+    the class goes back to int64 at the first new row after which its
+    rows and lcm fit.
     """
 
     def __init__(self, listed: list[tuple[int, list[int]]], width: int):
@@ -276,35 +292,26 @@ class _DenseRows:
                 self.row_max[:n] = top.astype(np.float64)
         dtype = object if self.exact else np.int64
         self.scales = np.array([self.lcm // p for p in pivot_values], dtype=dtype)
-
-    def _as_array(self, vector: Sequence[int]) -> np.ndarray:
         if not self.exact:
-            try:
-                return np.array(vector, dtype=np.int64)
-            except OverflowError:
-                self._widen()
-        return np.array(vector, dtype=object)
+            # for a vector with entries at most top in absolute value,
+            # every partial sum of reduce stays below top * gain
+            self.gain = self.lcm + float(self.scales @ self.row_max[:n])
 
     def reduce(self, vector: Sequence[int]) -> np.ndarray:
         """A positive multiple of the vector reduced against every row."""
         n = self.count
-        v = self._as_array(vector)
+        # compared as a quotient, so that no entry is ever made a float
+        if not self.exact and max(max(vector), -min(vector)) >= _INT64_SAFE / self.gain:
+            self._widen()
+        v = np.array(vector, dtype=self.rows.dtype)
         c = v[self.pivots[:n]]
         if not c.any():
             return v
-        if not self.exact:
-            head = self.lcm * max(int(v.max()), -int(v.min()))
-            if head < _INT64_SAFE:
-                weights = self.scales[:n] * c
-                if head + np.abs(weights) @ self.row_max[:n] < _INT64_SAFE:
-                    return self.lcm * v - weights @ self.rows[:n]
-            self._widen()
-            v, c = v.astype(object), c.astype(object)
         return self.lcm * v - (self.scales[:n] * c) @ self.rows[:n]
 
     def insert(self, vector: Sequence[int]) -> bool:
         v = self.reduce(vector)
-        nonzero = np.flatnonzero(v)
+        nonzero = v.nonzero()[0]
         if not nonzero.size:
             return False
         j = int(nonzero[0])
@@ -321,7 +328,7 @@ class _DenseRows:
         """
         n = self.count
         column = self.rows[:n, j]
-        hit = np.flatnonzero(column)
+        hit = column.nonzero()[0]
         if not hit.size:
             return v
         c = column[hit]
@@ -366,21 +373,72 @@ def witness_from_provenance(digits: Sequence[int], base: int) -> int:
     return value
 
 
-def evaluate_at_zero(
-    coeffs: Sequence[int], scale: Fraction, table: CorrelationTable
-) -> Fraction:
-    """Value of a form on the class holding 0 alone.
+_ZERO = Fraction(0)
 
-    Restricted values at shift offset 0 are all exactly 1, so the first
-    block contributes its plain sum; the second block pairs with the
-    shift-1 table, whose numerators share one denominator.
+
+def evaluate_at_zero(
+    coeffs: Sequence[int], scale: int, depth: int, table: CorrelationTable
+) -> Fraction:
+    """Value of a compressed form on the class holding 0 alone.
+
+    The form is scale / base**depth times the coefficients.  Restricted
+    values at shift offset 0 are all exactly 1, so the low half counts
+    base times its plain sum.  The high half, repeated base times, pairs
+    with the shift-1 numerators, which share one denominator: entry a
+    meets the sum of the numerators on the classes a mod K / base.  A
+    Fraction is made only for a nonzero value.
     """
-    modulus = table.modulus
+    base = table.base
+    stride = table.modulus // base
     denominator = table.denominator
-    total = sum(coeffs[:modulus]) * denominator + sum(
-        map(mul, coeffs[modulus:], table.numerators)
+    total = base * denominator * sum(coeffs[:stride]) + sum(
+        map(mul, coeffs[stride:] * base, table.numerators)
     )
-    return scale * Fraction(total, denominator)
+    if not total:
+        return _ZERO
+    return Fraction(scale * total, denominator * base**depth)
+
+
+@lru_cache(maxsize=None)
+def _step_index(base: int, modulus: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index arrays of the compressed closure step, in its (2 * base, stride) layout.
+
+    Entry [o * base + j, i] stands for entry r = i * base + j of offset
+    block o.  gather holds o * stride + r % stride, where a compressed
+    vector keeps that entry; classes holds r, and shifted[s] holds
+    (r + s + o) mod K for every s in [0, K).
+    """
+    stride = modulus // base
+    r = np.arange(modulus).reshape(stride, base).T
+    classes = np.concatenate([r, r])
+    offsets = np.repeat([0, 1], base)[:, None]
+    gather = offsets * stride + classes % stride
+    shifted = (classes + offsets + np.arange(modulus)[:, None, None]) % modulus
+    return gather, classes, shifted
+
+
+@lru_cache(maxsize=None)
+def _carries(base: int, digit: int) -> np.ndarray:
+    """The 0/1 matrix taking layout row o * base + j to the half of its carry.
+
+    The row goes to the high half exactly when digit + o + j reaches the
+    base.
+    """
+    columns = np.arange(2 * base)
+    carry = digit + columns // base + columns % base >= base
+    return np.stack([~carry, carry]).astype(np.int64)
+
+
+@lru_cache(maxsize=8)
+def _step_signs(factor: PeriodicFactor) -> np.ndarray:
+    """h(r) h(r + s + o) in the step layout for each s in [0, K), as int8.
+
+    Slice s serves the class q = s mod K; a sequence's slices take
+    2 K**2 bytes.
+    """
+    h = np.array(factor.values, dtype=np.int8)
+    _, classes, shifted = _step_index(factor.base, factor.period)
+    return h[classes] * h[shifted]
 
 
 def expand_element(
@@ -399,45 +457,32 @@ def expand_element(
     base = table.base
     modulus = table.modulus
     stride = modulus // base
-    hv = table.factor.values
     q = element.residue
     digit = q % base
+    # Entry r of offset block o, signed by h(r) h(r + q + o), goes to
+    # entry r floordiv base of the child's low or high half, by its carry
+    # (digit + o + r % base) floordiv base.  Each child entry sums 2 *
+    # base entries of the element, which bounds the int64 step.
     w = element.coeffs
-    # Coefficient r of offset block o, signed by h(r) h(r + q + o), goes
-    # to offset block carry = (digit + o + r % base) floordiv base of the
-    # child, at every class stride * d + r floordiv base.  So it is added
-    # once, into the low or the high sum by its carry, and each sum is
-    # repeated base times to make its block.
-    low_columns: list[list[int]] = []
-    high_columns: list[list[int]] = []
-    for offset in (0, 1):
-        block = w[offset * modulus : (offset + 1) * modulus]
-        if not any(block):
-            continue
-        s = (q + offset) % modulus
-        rotated = hv[s:] + hv[:s]
-        signed = [c if a == b else -c for c, a, b in zip(block, hv, rotated)]
-        split = base - digit - offset
-        for j in range(base):
-            (low_columns if j < split else high_columns).append(signed[j::base])
-    low = list(map(sum, zip(*low_columns))) if low_columns else [0] * stride
-    high = list(map(sum, zip(*high_columns))) if high_columns else [0] * stride
-    g = gcd(*low, *high) or 1
+    top = max(max(w), -min(w))
+    u = np.array(w, dtype=np.int64 if 2 * base * top < _INT64_SAFE else object)
+    gather = _step_index(base, modulus)[0]
+    signs = _step_signs(table.factor)[q % modulus]
+    child = (_carries(base, digit) @ (u[gather] * signs)).ravel().tolist()
+    g = gcd(*child) or 1
     if g > 1:
-        low = [x // g for x in low]
-        high = [x // g for x in high]
-    scale = Fraction(element.scale.numerator * g, element.scale.denominator * base)
-    child = low * base + high * base
+        child = [x // g for x in child]
+    coeffs = tuple(child)
+    scale = element.scale * g
     provenance = element.provenance + (digit,)
     head = q // base
     targets = [stride * d + head for d in range(base)]
     point_value: Optional[Fraction] = None
-    if targets[0] == 0:
-        point_value = evaluate_at_zero(child, scale, table)
+    if head == 0:
+        point_value = evaluate_at_zero(coeffs, scale, len(provenance), table)
         # the zero part of the class splits off; what remains of the
         # class is exactly the positive multiples of the modulus
         targets = targets[1:] + [modulus]
-    coeffs = tuple(child)
     children = [
         BasisElement(target, coeffs, scale, provenance) for target in targets
     ]
@@ -460,12 +505,11 @@ def decide(pattern_set: PatternSet, level: Union[int, None] = None) -> Decision:
     stride = modulus // base
     # the classes t of a carry group t % stride hold the same rows, so
     # one row space per group answers for all of them
-    basis = ResidueBasis(stride, 2 * modulus)
-    seed = (1,) * modulus + (0,) * modulus
+    basis = ResidueBasis(stride, 2 * stride)
+    seed = (1,) * stride + (0,) * stride
     for group in range(stride):
         basis.insert(group, seed)
-    one = Fraction(1)
-    queue = deque(BasisElement(t, seed, one, ()) for t in range(1, modulus + 1))
+    queue = deque(BasisElement(t, seed, 1, ()) for t in range(1, modulus + 1))
     created = modulus
     expansions = 0
     while queue:

@@ -281,10 +281,12 @@ class TestResidueBasis:
 
 
 def _expand_by_digit(element, table):
-    """Reference: the closure step with one add per coefficient and class.
+    """Reference: the closure step at full width, one add per coefficient and class.
 
-    Returns the children as (residue, coeffs, scale, provenance) and the
-    point value, evaluated with Fraction arithmetic on the entries.
+    Takes an element whose coeffs hold both offset blocks in full, 2K
+    entries.  Returns the children as (residue, coeffs, scale,
+    provenance), with the scale as a Fraction, and the point value,
+    evaluated with Fraction arithmetic on the entries.
     """
     base, modulus = table.base, table.modulus
     stride = modulus // base
@@ -300,7 +302,7 @@ def _expand_by_digit(element, table):
             carry = (digit + offset + r % base) // base
             for d in range(base):
                 child[carry * modulus + r // base + d * stride] += c
-    scale = element.scale / base
+    scale = F(element.scale, base ** (len(element.provenance) + 1))
     g = 0
     for x in child:
         g = gcd(g, x)
@@ -319,47 +321,102 @@ def _expand_by_digit(element, table):
     return [(t, tuple(child), scale, provenance) for t in targets], point
 
 
+def _tile(coeffs, base):
+    """The full-width blocks of a compressed vector: each half repeated base times."""
+    stride = len(coeffs) // 2
+    return tuple(coeffs[:stride]) * base + tuple(coeffs[stride:]) * base
+
+
+def _is_tiled(coeffs, base):
+    modulus = len(coeffs) // 2
+    stride = modulus // base
+    return coeffs == _tile(coeffs[:stride] + coeffs[modulus : modulus + stride], base)
+
+
+def _full_row(pivot, row, base):
+    """A stored compressed row and its pivot, at full width."""
+    stride = len(row) // 2
+    if pivot >= stride:
+        pivot += (base - 1) * stride
+    return pivot, _tile(row, base)
+
+
+def _random_tables(rng):
+    for base, length in ((2, 1), (2, 3), (2, 4), (3, 1), (3, 2), (4, 2)):
+        for _ in range(4):
+            mask = rng.randrange(1 << (base**length - 1)) << 1
+            yield bootstrap(PatternSet.from_mask(base, length, mask))
+
+
+def _compressed(rng, width):
+    """Random compressed coefficients; some share a factor, some pass int64."""
+    coeffs = tuple(rng.randint(-9, 9) if rng.random() < 0.6 else 0 for _ in range(width))
+    pick = rng.random()
+    if pick < 0.2:
+        coeffs = tuple(6 * c for c in coeffs)
+    elif pick < 0.3:
+        # 2 * base * 2**61 reaches the int64 step's bound, 2**70 int64 itself
+        coeffs = tuple(c * (1 << rng.choice((61, 70))) + 1 for c in coeffs)
+    return coeffs
+
+
 class TestExpansion:
+    def test_oracle_maps_tiled_inputs_to_tiled_children(self):
+        # the closure stays in the tiled vectors, so compressed
+        # coordinates lose nothing
+        rng = random.Random(29)
+        for table in _random_tables(rng):
+            base, K = table.base, table.modulus
+            for _ in range(10):
+                coeffs = _tile(_compressed(rng, 2 * K // base), base)
+                element = BasisElement(rng.randint(1, K), coeffs, 1, ())
+                assert _is_tiled(coeffs, base)
+                children, _ = _expand_by_digit(element, table)
+                for _, child, _, _ in children:
+                    assert _is_tiled(child, base)
+
     def test_matches_per_digit_loop(self):
         rng = random.Random(23)
-        for base, length in ((2, 1), (2, 3), (2, 4), (3, 1), (3, 2), (4, 2)):
-            for _ in range(4):
-                mask = rng.randrange(1 << (base**length - 1)) << 1
-                table = bootstrap(PatternSet.from_mask(base, length, mask))
-                K = table.modulus
-                for _ in range(25):
-                    coeffs = tuple(
-                        rng.randint(-9, 9) if rng.random() < 0.6 else 0 for _ in range(2 * K)
+        for table in _random_tables(rng):
+            base, K = table.base, table.modulus
+            for _ in range(25):
+                coeffs = _compressed(rng, 2 * K // base)
+                residue = rng.randint(1, K)
+                scale = rng.randint(1, 50)
+                element = BasisElement(residue, coeffs, scale, (1, 0))
+                children, point = expand_element(element, table)
+                full = BasisElement(residue, _tile(coeffs, base), scale, (1, 0))
+                expected, expected_point = _expand_by_digit(full, table)
+                assert [
+                    (
+                        c.residue,
+                        _tile(c.coeffs, base),
+                        F(c.scale, base ** len(c.provenance)),
+                        c.provenance,
                     )
-                    if rng.random() < 0.3:
-                        coeffs = tuple(6 * c for c in coeffs)
-                    scale = F(rng.randint(1, 50), rng.randint(1, 50))
-                    element = BasisElement(rng.randint(1, K), coeffs, scale, (1, 0))
-                    children, point = expand_element(element, table)
-                    expected, expected_point = _expand_by_digit(element, table)
-                    assert [
-                        (c.residue, c.coeffs, c.scale, c.provenance) for c in children
-                    ] == expected
-                    assert point == expected_point
+                    for c in children
+                ] == expected
+                assert point == expected_point
+
     def test_single_digit_first_step(self):
         # the shift-1 seed for the parity-of-ones set: one shared child
         # vector lands on the remaining plain class and the
         # positive-multiples class, and the zero class yields the point
         # value, twice the correlation at shift 1
         table = bootstrap(ps("1"))
-        seed = BasisElement(residue=1, coeffs=(1, 1, 0, 0), scale=F(1), provenance=())
+        seed = BasisElement(residue=1, coeffs=(1, 0), scale=1, provenance=())
         children, point = expand_element(seed, table)
         assert point == F(-2, 3)
         assert [c.residue for c in children] == [1, 2]
         for child in children:
-            assert child.coeffs == (-1, -1, -1, -1)
-            assert child.scale == F(1, 2)
+            assert child.coeffs == (-1, -1)
+            assert F(child.scale, 2 ** len(child.provenance)) == F(1, 2)
             assert child.provenance == (1,)
 
     def test_even_class_has_no_point_value(self):
         # class 4 = K: digit 0 is consumed, halves land on classes 2 and K
         table = bootstrap(ps("11"))
-        seed = BasisElement(residue=4, coeffs=(1,) * 4 + (0,) * 4, scale=F(1), provenance=())
+        seed = BasisElement(residue=4, coeffs=(1, 1, 0, 0), scale=1, provenance=())
         children, point = expand_element(seed, table)
         assert point is None
         assert [c.residue for c in children] == [2, 4]
@@ -373,9 +430,10 @@ class TestExpansion:
             a = ps(text)
             table = bootstrap(a)
             K = table.modulus
+            stride = K // 2
             seen = 0
             frontier = deque(
-                BasisElement(t, (1,) * K + (0,) * K, F(1), ())
+                BasisElement(t, (1,) * stride + (0,) * stride, 1, ())
                 for t in range(1, K + 1)
             )
             while frontier and seen < 120:
@@ -389,10 +447,23 @@ class TestExpansion:
 
     def test_evaluate_at_zero(self):
         table = bootstrap(ps("1"))
-        # block 0 counts constants, block 1 weights the entry table
-        assert evaluate_at_zero((1, 1, 0, 0), F(1), table) == 2
-        assert evaluate_at_zero((0, 0, 1, 1), F(1), table) == F(-1) + F(1, 3)
-        assert evaluate_at_zero((0, 0, 1, 0), F(1, 2), table) == F(-1, 2)
+        # the low half counts constants, the high half weights the entry
+        # table, and the scale is over base**depth
+        assert evaluate_at_zero((1, 0), 1, 0, table) == 2
+        assert evaluate_at_zero((0, 1), 1, 0, table) == F(-1) + F(1, 3)
+        assert evaluate_at_zero((-1, 0), 1, 2, table) == F(-1, 2)
+
+    def test_evaluate_at_zero_matches_full_width(self):
+        rng = random.Random(31)
+        for table in _random_tables(rng):
+            base, K = table.base, table.modulus
+            for _ in range(10):
+                coeffs = _compressed(rng, 2 * K // base)
+                scale, depth = rng.randint(1, 50), rng.randint(0, 3)
+                full = _tile(coeffs, base)
+                expected = F(sum(full[:K])) + sum(c * e for c, e in zip(full[K:], table.entries))
+                value = evaluate_at_zero(coeffs, scale, depth, table)
+                assert value == F(scale, base**depth) * expected
 
 
 class TestDecide:
@@ -495,6 +566,30 @@ class TestDecide:
             assert table.correlation(decision.witness_shift) == decision.witness_value
 
 
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_agrees_with_exact_sweep_in_bases_two_to_four(self, data):
+        base, length = data.draw(
+            st.sampled_from(((2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (4, 1), (4, 2)))
+        )
+        mask = data.draw(st.integers(min_value=0, max_value=(1 << (base**length - 1)) - 1))
+        a = PatternSet.from_mask(base, length, mask << 1)
+        decision = decide(a)
+        table = bootstrap(a)
+        K = table.modulus
+        swept = [m for m in range(1, 2 * K + 1) if table.correlation(m) != 0]
+        assert decision.noncorrelated == (decision.witness_shift is None)
+        if decision.noncorrelated:
+            assert swept == []
+            return
+        # the witness is the smallest shift with a nonzero correlation
+        if swept:
+            assert decision.witness_shift == swept[0]
+        else:
+            assert decision.witness_shift > 2 * K
+        assert decision.witness_value == table.correlation(decision.witness_shift) != 0
+
+
 class TestLargerClosures:
     # counters of closures whose classes pass the switch to the array
     # kernel, as the sequential list kernel produced them
@@ -550,10 +645,11 @@ class TestCapacity:
 
 
 def _decide_per_class(pattern_set):
-    """Reference: the closure with one row space for every residue class.
+    """Reference: the full-width closure with one row space for every residue class.
 
-    Returns the decision and the basis, whose class t in 1..K must hold
-    the rows that decide keeps for the carry group t % (K / base).
+    Runs on _expand_by_digit.  Returns the decision and the basis, whose
+    class t in 1..K must hold the rows that decide keeps for the carry
+    group t % (K / base), tiled back to full width.
     """
     table = bootstrap(pattern_set)
     base, modulus = table.base, table.modulus
@@ -563,22 +659,23 @@ def _decide_per_class(pattern_set):
     created = 0
     for t in range(1, modulus + 1):
         basis.insert(t, seed)
-        queue.append(BasisElement(t, seed, F(1), ()))
+        queue.append(BasisElement(t, seed, 1, ()))
         created += 1
     expansions = 0
     while queue:
         element = queue.popleft()
         expansions += 1
-        children, point = expand_element(element, table)
+        children, point = _expand_by_digit(element, table)
         if point is not None and point != 0:
             provenance = element.provenance + (element.residue % base,)
             decision = decider._correlated_decision(
                 table, provenance, point, created, expansions
             )
             return decision, basis
-        for child in children:
-            if basis.insert(child.residue, child.coeffs):
-                queue.append(child)
+        for residue, coeffs, scale, provenance in children:
+            if basis.insert(residue, coeffs):
+                numerator = scale * base ** len(provenance)
+                queue.append(BasisElement(residue, coeffs, int(numerator), provenance))
                 created += 1
     return Decision(True, None, None, created, expansions), basis
 
@@ -639,8 +736,10 @@ class TestGroupedClosure:
             (basis,) = grouped
             modulus = per_class.width // 2
             stride = modulus // a.base
-            # each class holds its group's rows, so a group's classes agree
+            assert basis.width == 2 * stride
+            # each class holds its group's rows, tiled back to full
+            # width, so a group's classes agree
             for t in range(1, modulus + 1):
-                rows = basis.stored_rows(t % stride)
+                rows = [_full_row(*row, a.base) for row in basis.stored_rows(t % stride)]
                 assert per_class.stored_rows(t) == rows, (str(a), t)
             assert per_class.total_rows == a.base * basis.total_rows
