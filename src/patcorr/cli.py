@@ -188,6 +188,8 @@ def _cmd_decide(ns: argparse.Namespace) -> int:
 def _cmd_correlation(ns: argparse.Namespace) -> int:
     if (ns.shift is None) == (ns.max_shift is None):
         raise _UsageError("give exactly one of --shift or --max-shift")
+    if ns.max_shift is not None and ns.max_shift < 1:
+        raise _UsageError(f"--max-shift {ns.max_shift} is below 1")
     if ns.max_shift is not None and ns.max_shift > MAX_SWEEP:
         raise _UsageError(f"--max-shift {ns.max_shift} exceeds {MAX_SWEEP}")
     if ns.shift is not None and ns.shift.bit_length() > MAX_SHIFT_BITS:
@@ -237,6 +239,8 @@ def _render_census(report: CensusReport, ns: argparse.Namespace) -> None:
 
 
 def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise _UsageError(f"--workers {workers} is below 1")
     if workers > MAX_WORKERS:
         raise _UsageError(f"--workers {workers} exceeds {MAX_WORKERS}")
 

@@ -45,12 +45,14 @@ for a witness.
 
 The span tests are the bulk of a noncorrelated decision, whose groups
 fill up to 2K / base rows.  A group therefore keeps its first DENSE_ROWS
-rows in Python lists, which is all a correlated decision usually needs,
-and then moves them to an int64 array that reduces a vector against
-every row in one matrix-vector product.  Each array operation, and
-each step's product, is bounded in advance and runs on Python ints when
-the bound fails, so the stored rows and every answer are the same as
-with lists alone.
+rows as lists of Python ints, which is all a correlated decision usually
+needs, and then moves them to an int64 array that reduces a vector
+against every row in one matrix-vector product.  Every array operation
+is bounded before it changes a row; when a bound fails, the group goes
+back to its lists for that operation and returns to the array after a
+later accepted row, once its entries fit again.  A step's product is
+bounded too and runs on Python ints when the bound fails, so the stored
+rows and every answer are the same as with lists alone.
 """
 
 from __future__ import annotations
@@ -132,11 +134,15 @@ class ResidueBasis:
     column, so membership in the span is a single reduction pass and the
     stored shape is canonical.
 
-    A class starts out as a list of (pivot, row) pairs in pivot order
-    and is reduced one row at a time.  Once it holds DENSE_ROWS rows it
-    moves to a _DenseRows array, which reduces a vector against all of
-    its rows in one product.  Both keep the same rows and give the same
-    answers; stored_rows lists a class either way.
+    A class keeps its rows as (pivot, row) pairs of Python ints in pivot
+    order and reduces a vector one row at a time.  Once it holds
+    DENSE_ROWS rows and every entry and the pivots' lcm fit the int64
+    bound, it moves to a _DenseRows array, which reduces a vector against
+    all of its rows in one product.  An array operation whose bound fails
+    moves the class back to the lists and runs there; the class returns
+    to the array after the next row the lists accept, once it fits again.
+    Both keep the same rows and give the same answers, and stored_rows
+    lists a class either way.
     """
 
     def __init__(self, classes: int, width: int):
@@ -164,7 +170,7 @@ class ResidueBasis:
         """The (pivot column, row) pairs of one class, in pivot order."""
         rows = self._rows[residue]
         if isinstance(rows, _DenseRows):
-            return rows.listed()
+            rows = rows.listed()
         return [(pivot, tuple(row)) for pivot, row in rows]
 
     def _reduce(self, rows: list[tuple[int, list[int]]], vector: Sequence[int]) -> list[int]:
@@ -180,12 +186,20 @@ class ResidueBasis:
         if len(vector) != self._width:
             raise ValueError(f"vector width {len(vector)} does not match {self._width}")
 
+    def _to_lists(self, residue: int) -> list[tuple[int, list[int]]]:
+        """Move a class whose int64 bound failed to Python-int lists."""
+        rows = self._rows[residue] = self._rows[residue].listed()
+        return rows
+
     def contains(self, residue: int, vector: Sequence[int]) -> bool:
         """Whether the vector already lies in the span stored for a class."""
         self._check_width(vector)
         rows = self._rows[residue]
         if isinstance(rows, _DenseRows):
-            return not rows.reduce(vector).any()
+            try:
+                return not rows.reduce(vector).any()
+            except OverflowError:
+                rows = self._to_lists(residue)
         return not any(self._reduce(rows, vector))
 
     def insert(self, residue: int, vector: Sequence[int]) -> bool:
@@ -196,7 +210,10 @@ class ResidueBasis:
         self._check_width(vector)
         rows = self._rows[residue]
         if isinstance(rows, _DenseRows):
-            return rows.insert(vector)
+            try:
+                return rows.insert(vector)
+            except OverflowError:
+                rows = self._to_lists(residue)
         v = self._reduce(rows, vector)
         for j, x in enumerate(v):
             if x:
@@ -214,8 +231,11 @@ class ResidueBasis:
                 rows[pos] = (pivot, merged)
         rows.append((j, v))
         rows.sort(key=lambda item: item[0])
-        if len(rows) == DENSE_ROWS:
-            self._rows[residue] = _DenseRows(rows, self._width)
+        if len(rows) >= DENSE_ROWS:
+            try:
+                self._rows[residue] = _DenseRows(rows, self._width)
+            except OverflowError:
+                pass
         return True
 
 
@@ -228,8 +248,9 @@ def _make_primitive(v: list[int], pivot: int) -> None:
 
 
 # A class moves from lists to the array kernel once it holds this many
-# rows.  Correlated decisions stop while their classes are small, and
-# there the list code is faster than the fixed cost of numpy calls.
+# rows and they fit the int64 bound.  Correlated decisions stop while
+# their classes are small, and there the list code is faster than the
+# fixed cost of numpy calls.
 DENSE_ROWS = 8
 # Every int64 operation of the array kernel is first bounded below this
 # in absolute value; int64 itself ends at 2**63.
@@ -237,7 +258,7 @@ _INT64_SAFE = float(1 << 62)
 
 
 class _DenseRows:
-    """The rows of one grown class, reduced against all of them at once.
+    """The rows of one grown class as int64, reduced against all of them at once.
 
     rows[:count] holds the primitive rows in the order they arrived, and
     pivots[i] is row i's pivot column.  With lcm the least common
@@ -247,67 +268,52 @@ class _DenseRows:
 
     is a positive multiple of what the sequential reduction leaves: the
     rows are zero at each other's pivots, so row i clears pivot column
-    i of v and no other.  The arrays hold int64 while row_max, each
-    row's largest |entry|, bounds every result below 2**62; a reduction
-    checks one bound, gain times the vector's largest |entry|, with gain
-    fixed at each new row.  An operation that fails its bound moves the
-    class to Python ints (dtype=object), so the arithmetic stays exact;
-    the class goes back to int64 at the first new row after which its
-    rows and lcm fit.
+    i of v and no other.  row_max holds each row's largest |entry|, and
+    every operation is bounded below 2**62 before any row changes: a
+    reduction checks gain times the vector's largest |entry|, with gain
+    fixed at each new row, and a new row checks the merges that clear
+    its pivot column and the new lcm.  A bound that fails raises
+    OverflowError with the rows untouched, and ResidueBasis runs the
+    operation on its Python-int lists instead.
     """
 
     def __init__(self, listed: list[tuple[int, list[int]]], width: int):
+        pivot_values = [row[pivot] for pivot, row in listed]
+        multiple = lcm(*pivot_values)
+        top = max(max(max(row), -min(row)) for _, row in listed)
+        if max(multiple, top) >= _INT64_SAFE:
+            raise OverflowError("rows past the int64 bound")
         count = len(listed)
-        spare = [[0] * width] * count
         self.count = count
-        self.rows = np.array([row for _, row in listed] + spare, dtype=object)
-        self.pivots = np.array([pivot for pivot, _ in listed] + [0] * count, dtype=np.int64)
+        self.rows = np.zeros((2 * count, width), dtype=np.int64)
+        self.rows[:count] = [row for _, row in listed]
+        self.pivots = np.zeros(2 * count, dtype=np.int64)
+        self.pivots[:count] = [pivot for pivot, _ in listed]
         self.row_max = np.zeros(2 * count)
-        self._rescale()
+        self.row_max[:count] = np.abs(self.rows[:count]).max(axis=1)
+        self._rescale(multiple, pivot_values)
 
     def __len__(self) -> int:
         return self.count
 
-    @property
-    def exact(self) -> bool:
-        """Whether the class has moved to Python ints."""
-        return self.rows.dtype == object
-
-    def _widen(self) -> None:
-        self.rows = self.rows.astype(object)
-        self.scales = self.scales.astype(object)
-
-    def _rescale(self) -> None:
-        """Recompute lcm and scales; go back to int64 once the rows fit."""
-        n = self.count
-        pivot_values = self.rows[np.arange(n), self.pivots[:n]].tolist()
-        self.lcm = lcm(*pivot_values)
-        if self.lcm >= _INT64_SAFE:
-            if not self.exact:
-                self.rows = self.rows.astype(object)
-        elif self.exact:
-            top = np.abs(self.rows[:n]).max(axis=1)
-            if top.max() < _INT64_SAFE:
-                self.rows = self.rows.astype(np.int64)
-                self.row_max[:n] = top.astype(np.float64)
-        dtype = object if self.exact else np.int64
-        self.scales = np.array([self.lcm // p for p in pivot_values], dtype=dtype)
-        if not self.exact:
-            # for a vector with entries at most top in absolute value,
-            # every partial sum of reduce stays below top * gain
-            self.gain = self.lcm + float(self.scales @ self.row_max[:n])
+    def _rescale(self, multiple: int, pivot_values: list[int]) -> None:
+        """Store the pivot values' lcm and the scales and gain it gives."""
+        self.lcm = multiple
+        self.scales = np.array([multiple // p for p in pivot_values], dtype=np.int64)
+        # for a vector with entries at most top in absolute value, every
+        # partial sum of reduce stays below top * gain
+        self.gain = multiple + float(self.scales @ self.row_max[: self.count])
 
     def reduce(self, vector: Sequence[int]) -> np.ndarray:
         """A positive multiple of the vector reduced against every row."""
-        n = self.count
         # compared as a quotient, so that no entry is ever made a float
-        if not self.exact and max(max(vector), -min(vector)) >= _INT64_SAFE / self.gain:
-            self._widen()
-        v = np.array(vector, dtype=self.rows.dtype)
-        c = v[self.pivots[:n]]
+        if max(max(vector), -min(vector)) >= _INT64_SAFE / self.gain:
+            raise OverflowError("reduction past the int64 bound")
+        v = np.array(vector, dtype=np.int64)
+        c = v[self.pivots[: self.count]]
         if not c.any():
             return v
-        return self.lcm * v - (self.scales[:n] * c) @ self.rows[:n]
+        return self.lcm * v - (self.scales * c) @ self.rows[: self.count]
 
     def insert(self, vector: Sequence[int]) -> bool:
         v = self.reduce(vector)
@@ -317,52 +323,46 @@ class _DenseRows:
         j = int(nonzero[0])
         g = np.gcd.reduce(v)
         v //= -g if v[j] < 0 else g
-        v = self._clear_column(v, j)
-        self._append(v, j)
-        return True
-
-    def _clear_column(self, v: np.ndarray, j: int) -> np.ndarray:
-        """Make the older rows zero at v's pivot j and primitive again.
-
-        Returns v, as Python ints if the class had to move to them.
-        """
         n = self.count
+        pivots = self.pivots[:n]
+        pivot_values = self.rows[np.arange(n), pivots]
+        # older rows nonzero at the new pivot j take v out and are made
+        # primitive again; their pivots stay positive, as v[j] > 0 and v
+        # is zero at the old pivots
         column = self.rows[:n, j]
         hit = column.nonzero()[0]
-        if not hit.size:
-            return v
-        c = column[hit]
-        if not self.exact:
-            top = float(np.abs(v).max())
-            bound = float(v[j]) * self.row_max[hit] + np.abs(c) * top
+        top = np.abs(v).max()
+        if hit.size:
+            c = column[hit]
+            bound = float(v[j]) * self.row_max[hit] + np.abs(c) * float(top)
             if bound.max() >= _INT64_SAFE:
-                self._widen()
-                v, c = v.astype(object), c.astype(object)
-        # pivots stay positive: v[j] > 0 and v is zero at the old pivots
-        merged = v[j] * self.rows[hit] - c[:, None] * v
-        merged //= np.gcd.reduce(merged, axis=1)[:, None]
-        self.rows[hit] = merged
-        if not self.exact:
+                raise OverflowError("merge past the int64 bound")
+            merged = v[j] * self.rows[hit] - c[:, None] * v
+            merged //= np.gcd.reduce(merged, axis=1)[:, None]
+            pivot_values[hit] = merged[np.arange(hit.size), pivots[hit]]
+        pivot_values = pivot_values.tolist() + [int(v[j])]
+        multiple = lcm(*pivot_values)
+        if multiple >= _INT64_SAFE:
+            raise OverflowError("pivot lcm past the int64 bound")
+        if hit.size:
+            self.rows[hit] = merged
             self.row_max[hit] = np.abs(merged).max(axis=1)
-        return v
-
-    def _append(self, v: np.ndarray, j: int) -> None:
-        n = self.count
         if n == len(self.pivots):
             self.rows = np.concatenate([self.rows, np.zeros_like(self.rows)])
             self.pivots = np.concatenate([self.pivots, np.zeros_like(self.pivots)])
             self.row_max = np.concatenate([self.row_max, np.zeros_like(self.row_max)])
         self.rows[n] = v
         self.pivots[n] = j
-        if not self.exact:
-            self.row_max[n] = np.abs(v).max()
+        self.row_max[n] = top
         self.count = n + 1
-        self._rescale()
+        self._rescale(multiple, pivot_values)
+        return True
 
-    def listed(self) -> list[tuple[int, tuple[int, ...]]]:
+    def listed(self) -> list[tuple[int, list[int]]]:
+        """The (pivot, row) pairs in pivot order, as Python ints."""
         n = self.count
         order = np.argsort(self.pivots[:n])
-        return [(int(self.pivots[i]), tuple(self.rows[i].tolist())) for i in order]
+        return [(int(self.pivots[i]), self.rows[i].tolist()) for i in order]
 
 
 def witness_from_provenance(digits: Sequence[int], base: int) -> int:
@@ -443,16 +443,16 @@ def _step_signs(factor: PeriodicFactor) -> np.ndarray:
 
 def expand_element(
     element: BasisElement, table: CorrelationTable
-) -> tuple[list[BasisElement], Optional[Fraction]]:
+) -> tuple[list[int], tuple[int, ...], int, tuple[int, ...], Optional[Fraction]]:
     """One closure step: consume the least digit of the element's class.
 
-    Returns the child elements for the nonzero target classes, in
-    ascending class order, together with the form's value on the class
-    of 0 when that class was reached (only classes below the base reach
-    it).  All children share one coefficient vector; when the zero class
-    is reached the same vector also continues on the positive-multiples
-    class, because the residue class splits into the point 0 and the
-    positive multiples.
+    Returns what the children share: their target classes in ascending
+    order, their coefficient vector, scale and provenance, followed by
+    the form's value on the class of 0 when that class was reached (only
+    classes below the base reach it).  When the zero class is reached
+    the same vector also continues on the positive-multiples class,
+    because the residue class splits into the point 0 and the positive
+    multiples.  The caller builds the children only if it keeps them.
     """
     base = table.base
     modulus = table.modulus
@@ -483,10 +483,7 @@ def expand_element(
         # the zero part of the class splits off; what remains of the
         # class is exactly the positive multiples of the modulus
         targets = targets[1:] + [modulus]
-    children = [
-        BasisElement(target, coeffs, scale, provenance) for target in targets
-    ]
-    return children, point_value
+    return targets, coeffs, scale, provenance, point_value
 
 
 def decide(pattern_set: PatternSet, level: Union[int, None] = None) -> Decision:
@@ -515,15 +512,14 @@ def decide(pattern_set: PatternSet, level: Union[int, None] = None) -> Decision:
     while queue:
         element = queue.popleft()
         expansions += 1
-        children, point_value = expand_element(element, table)
+        targets, coeffs, scale, provenance, point_value = expand_element(element, table)
         if point_value is not None and point_value != 0:
-            provenance = element.provenance + (element.residue % base,)
             return _correlated_decision(
                 table, provenance, point_value, created, expansions
             )
-        if basis.insert(children[0].residue % stride, children[0].coeffs):
-            queue.extend(children)
-            created += len(children)
+        if basis.insert(targets[0] % stride, coeffs):
+            queue.extend(BasisElement(t, coeffs, scale, provenance) for t in targets)
+            created += len(targets)
     if created != base * basis.total_rows:
         raise InternalConsistencyError(
             f"stored {created} elements for {basis.total_rows} group rows"

@@ -87,6 +87,12 @@ class TestCorrelationCommand:
     def test_sweep_limit(self, capsys):
         assert run(["correlation", "-s", "1", "--max-shift", str(MAX_SWEEP + 1)]) == 1
         assert f"exceeds {MAX_SWEEP}" in capsys.readouterr().err
+        # the sweep covers shifts 1..MAX, so a smaller MAX would answer nothing
+        for bad in ("0", "-3"):
+            assert run(["correlation", "-s", "1", "--max-shift", bad, "--structured"]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "is below 1" in captured.err
 
 
 class TestCensusCommand:
@@ -207,6 +213,11 @@ class TestParsing:
         for argv in (["census", "--length", "2"], ["verify", "--suite", "smoke"]):
             assert run(argv + ["--workers", str(MAX_WORKERS + 1)]) == 1
             assert f"exceeds {MAX_WORKERS}" in capsys.readouterr().err
+            for bad in ("0", "-1"):
+                assert run(argv + ["--workers", bad]) == 1
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert "is below 1" in captured.err
 
     def test_bad_set_text(self, capsys):
         assert run(["decide", "-s", "12"]) == 1

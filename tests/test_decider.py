@@ -1,6 +1,6 @@
 import json
 import random
-from collections import deque
+from collections import defaultdict, deque
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -143,14 +143,22 @@ def _check_against_rational(basis, rng, classes, inserts, make):
     return stored
 
 
+def _count_moves_to_lists(monkeypatch):
+    """Record the class of every move from the int64 array to Python-int lists."""
+    moved = []
+    to_lists = ResidueBasis._to_lists
+    monkeypatch.setattr(
+        ResidueBasis,
+        "_to_lists",
+        lambda basis, residue: moved.append(residue) or to_lists(basis, residue),
+    )
+    return moved
+
+
 class TestResidueBasis:
     def test_against_rational_elimination(self, monkeypatch):
         # count the moves of a grown class from int64 to Python ints
-        widened = []
-        widen = decider._DenseRows._widen
-        monkeypatch.setattr(
-            decider._DenseRows, "_widen", lambda rows: widened.append(1) or widen(rows)
-        )
+        moved = _count_moves_to_lists(monkeypatch)
         rng = random.Random(5)
         classes, width = 3, 6
         for _ in range(40):
@@ -165,14 +173,47 @@ class TestResidueBasis:
         # all.  The last three move to Python ints.
         classes, width = 1, 18
         for spike in (0, 1 << 31, 1 << 61, 1 << 70):
-            widened.clear()
+            moved.clear()
             for _ in range(2):
                 basis = ResidueBasis(classes, width)
                 stored = _check_against_rational(
                     basis, rng, classes, 70, _spiked(rng, width, spike)
                 )
                 assert any(len(rows) > DENSE_ROWS for rows in stored.values())
-            assert bool(widened) == (spike > 0)
+            assert bool(moved) == (spike > 0)
+
+    def test_class_returns_to_int64_after_transient_overflow(self, monkeypatch):
+        # in this base-4 family some merges that clear a new pivot column
+        # pass the int64 bound: the group moves to Python ints for that
+        # row, comes back to the array with it, and ends with the rows of
+        # the rational reduced echelon form
+        moved = _count_moves_to_lists(monkeypatch)
+        made = []
+        tested = []
+        accepted = defaultdict(list)
+
+        class Recorded(ResidueBasis):
+            def __init__(self, classes, width):
+                super().__init__(classes, width)
+                made.append(self)
+
+            def insert(self, residue, vector):
+                tested.append(residue)
+                grew = super().insert(residue, vector)
+                if grew:
+                    accepted[residue].append(vector)
+                return grew
+
+        monkeypatch.setattr(decider, "ResidueBasis", Recorded)
+        decision = decide(random_hadamard_family(4, 3, random.Random(416)))
+        assert decision.noncorrelated
+        (basis,) = made
+        assert len(moved) > 1
+        # the lists finish a moved insert without a second call
+        assert len(tested) == decision.expansions + 16
+        for group in set(moved):
+            assert isinstance(basis._rows[group], decider._DenseRows)
+            assert basis.stored_rows(group) == _canonical_rows(accepted[group])
 
     def test_products_past_int64_stay_exact(self):
         # every entry fits int64, but reducing the last vector sums
@@ -191,8 +232,18 @@ class TestResidueBasis:
         assert not basis.contains(0, vec)
         assert basis.insert(0, vec)
         assert basis.stored_rows(0) == _canonical_rows(rows + [vec])
+        # here the reduced vector is -2**64 at x, which int64 would wrap
+        # to 0
+        basis = ResidueBasis(1, width)
+        for i in range(DENSE_ROWS):
+            row = [0] * width
+            row[i], row[x] = 1, 1 << 32
+            assert basis.insert(0, tuple(row))
+        vec = (1 << 32,) + (0,) * (width - 1)
+        assert not basis.contains(0, vec)
+        assert basis.insert(0, vec)
 
-    def test_pivot_lcm_past_int64_stays_exact(self):
+    def test_pivot_lcm_past_int64_stays_exact(self, monkeypatch):
         # small rows whose pivots are distinct primes: their least common
         # multiple fits int64 when the class switches to the array, and
         # passes 2**63 with the ninth row
@@ -213,6 +264,31 @@ class TestResidueBasis:
         assert not basis.contains(0, fresh)
         assert basis.insert(0, fresh)
         assert basis.stored_rows(0) == _canonical_rows(rows + [fresh])
+        # here every bound of a reduction and of the merges that clear a
+        # new pivot column holds, but the merges multiply the older
+        # pivots, and their lcm passes 2**62: the class moves to Python
+        # ints before any row changes
+        rows = [
+            (83, 0, 0, 0, 0, 0, 0, 0, 0, 0, -32, 0),
+            (0, 137, 0, 0, 0, 0, 0, 0, 0, -32, 0, 0),
+            (0, 0, 149, 0, 0, 0, 0, 0, 0, -125, 0, 2),
+            (0, 0, 0, 281, 0, 0, 0, 0, 0, -47, -211, 0),
+            (0, 0, 0, 0, 131, 0, 0, 0, 0, 20, -112, -109),
+            (0, 0, 0, 0, 0, 233, 0, 0, 0, -18, 0, -16),
+            (0, 0, 0, 0, 0, 0, 151, 0, 0, 44, -99, 0),
+            (0, 0, 0, 0, 0, 0, 0, 41, 0, -6, 0, -8),
+            (0, 0, 0, 0, 0, 0, 0, 0, 29, 0, -13, -3),
+            (0, 0, -2, 0, 0, 0, 0, 1, 0, 4, 0, 0),
+        ]
+        basis = ResidueBasis(1, len(rows[0]))
+        for row in rows:
+            assert basis.insert(0, row)
+        assert isinstance(basis._rows[0], decider._DenseRows)
+        moved = _count_moves_to_lists(monkeypatch)
+        last = (0, 0, 0, 0, 0, 5, 0, 4, 0, 0, -3, 0)
+        assert basis.insert(0, last)
+        assert moved == [0]
+        assert basis.stored_rows(0) == _canonical_rows(rows + [last])
 
     def test_zero_vector_always_contained(self):
         basis = ResidueBasis(2, 4)
@@ -284,9 +360,10 @@ def _expand_by_digit(element, table):
     """Reference: the closure step at full width, one add per coefficient and class.
 
     Takes an element whose coeffs hold both offset blocks in full, 2K
-    entries.  Returns the children as (residue, coeffs, scale,
-    provenance), with the scale as a Fraction, and the point value,
-    evaluated with Fraction arithmetic on the entries.
+    entries.  Returns what expand_element returns: the target classes,
+    the children's coeffs, scale and provenance, and the point value,
+    but with the scale as a Fraction and the point value evaluated with
+    Fraction arithmetic on the entries.
     """
     base, modulus = table.base, table.modulus
     stride = modulus // base
@@ -318,7 +395,7 @@ def _expand_by_digit(element, table):
         point *= scale
         targets = targets[1:] + [modulus]
     provenance = element.provenance + (digit,)
-    return [(t, tuple(child), scale, provenance) for t in targets], point
+    return targets, tuple(child), scale, provenance, point
 
 
 def _tile(coeffs, base):
@@ -371,9 +448,8 @@ class TestExpansion:
                 coeffs = _tile(_compressed(rng, 2 * K // base), base)
                 element = BasisElement(rng.randint(1, K), coeffs, 1, ())
                 assert _is_tiled(coeffs, base)
-                children, _ = _expand_by_digit(element, table)
-                for _, child, _, _ in children:
-                    assert _is_tiled(child, base)
+                _, child, _, _, _ = _expand_by_digit(element, table)
+                assert _is_tiled(child, base)
 
     def test_matches_per_digit_loop(self):
         rng = random.Random(23)
@@ -384,19 +460,17 @@ class TestExpansion:
                 residue = rng.randint(1, K)
                 scale = rng.randint(1, 50)
                 element = BasisElement(residue, coeffs, scale, (1, 0))
-                children, point = expand_element(element, table)
+                targets, child, child_scale, provenance, point = expand_element(
+                    element, table
+                )
                 full = BasisElement(residue, _tile(coeffs, base), scale, (1, 0))
-                expected, expected_point = _expand_by_digit(full, table)
-                assert [
-                    (
-                        c.residue,
-                        _tile(c.coeffs, base),
-                        F(c.scale, base ** len(c.provenance)),
-                        c.provenance,
-                    )
-                    for c in children
-                ] == expected
-                assert point == expected_point
+                assert (
+                    targets,
+                    _tile(child, base),
+                    F(child_scale, base ** len(provenance)),
+                    provenance,
+                    point,
+                ) == _expand_by_digit(full, table)
 
     def test_single_digit_first_step(self):
         # the shift-1 seed for the parity-of-ones set: one shared child
@@ -405,22 +479,21 @@ class TestExpansion:
         # value, twice the correlation at shift 1
         table = bootstrap(ps("1"))
         seed = BasisElement(residue=1, coeffs=(1, 0), scale=1, provenance=())
-        children, point = expand_element(seed, table)
+        targets, coeffs, scale, provenance, point = expand_element(seed, table)
         assert point == F(-2, 3)
-        assert [c.residue for c in children] == [1, 2]
-        for child in children:
-            assert child.coeffs == (-1, -1)
-            assert F(child.scale, 2 ** len(child.provenance)) == F(1, 2)
-            assert child.provenance == (1,)
+        assert targets == [1, 2]
+        assert coeffs == (-1, -1)
+        assert F(scale, 2 ** len(provenance)) == F(1, 2)
+        assert provenance == (1,)
 
     def test_even_class_has_no_point_value(self):
         # class 4 = K: digit 0 is consumed, halves land on classes 2 and K
         table = bootstrap(ps("11"))
         seed = BasisElement(residue=4, coeffs=(1, 1, 0, 0), scale=1, provenance=())
-        children, point = expand_element(seed, table)
+        targets, _, _, provenance, point = expand_element(seed, table)
         assert point is None
-        assert [c.residue for c in children] == [2, 4]
-        assert children[0].provenance == (0,)
+        assert targets == [2, 4]
+        assert provenance == (0,)
 
     def test_point_values_match_exact_correlations(self):
         # every point value produced anywhere in the closure equals the
@@ -438,12 +511,12 @@ class TestExpansion:
             )
             while frontier and seen < 120:
                 element = frontier.popleft()
-                children, point = expand_element(element, table)
+                targets, coeffs, scale, provenance, point = expand_element(element, table)
                 if point is not None:
-                    shift = witness_from_provenance(children[0].provenance, 2)
+                    shift = witness_from_provenance(provenance, 2)
                     assert point == K * table.correlation(shift), (text, shift)
                     seen += 1
-                frontier.extend(children)
+                frontier.extend(BasisElement(t, coeffs, scale, provenance) for t in targets)
 
     def test_evaluate_at_zero(self):
         table = bootstrap(ps("1"))
@@ -603,6 +676,25 @@ class TestLargerClosures:
         assert decision.elements_created == K * K - 2
         assert decision.expansions == expansions
 
+    @pytest.mark.parametrize(
+        "length, calls, accepted", [(4, 262, 127), (5, 1038, 511), (6, 4126, 2047)]
+    )
+    def test_span_tests_per_decision(self, length, calls, accepted, monkeypatch):
+        # one span test per seed group and per expansion, and one
+        # accepted row per base children; the benchmark's traced counts
+        results = []
+        insert = ResidueBasis.insert
+        monkeypatch.setattr(
+            ResidueBasis,
+            "insert",
+            lambda basis, residue, vector: results.append(insert(basis, residue, vector))
+            or results[-1],
+        )
+        decision = decide(saturated_family_from_hadamard(sylvester_hadamard(2), length))
+        assert decision.noncorrelated
+        assert len(results) == calls == decision.expansions + 2 ** (length - 1)
+        assert sum(results) == accepted == decision.elements_created // 2
+
     def test_base_four_hadamard_family_records(self):
         matrix = sylvester_hadamard(4)
         assert decide(saturated_family_from_hadamard(matrix, 2)).to_record() == {
@@ -665,14 +757,13 @@ def _decide_per_class(pattern_set):
     while queue:
         element = queue.popleft()
         expansions += 1
-        children, point = _expand_by_digit(element, table)
+        targets, coeffs, scale, provenance, point = _expand_by_digit(element, table)
         if point is not None and point != 0:
-            provenance = element.provenance + (element.residue % base,)
             decision = decider._correlated_decision(
                 table, provenance, point, created, expansions
             )
             return decision, basis
-        for residue, coeffs, scale, provenance in children:
+        for residue in targets:
             if basis.insert(residue, coeffs):
                 numerator = scale * base ** len(provenance)
                 queue.append(BasisElement(residue, coeffs, int(numerator), provenance))
