@@ -12,7 +12,6 @@ pattern set of the product.
 from __future__ import annotations
 
 import itertools
-import multiprocessing
 from collections import Counter
 import random
 import time
@@ -293,6 +292,10 @@ def _sweep(visit: Callable[[PatternSet], tuple], pool_args: tuple, workers: int)
     if workers == 1:
         results = map(_sweep_chunk, chunks)
     else:
+        # imported here, so that a caller who never makes a pool does not
+        # load multiprocessing and its socket machinery
+        import multiprocessing
+
         with multiprocessing.Pool(min(workers, pieces)) as processes:
             results = processes.map(_sweep_chunk, chunks)
     outcomes: list = [None] * total

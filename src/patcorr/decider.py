@@ -36,6 +36,17 @@ base times shorter.  Tiling keeps pivots, primitive rows and
 membership, so the stored rows are exactly the full-width ones cut to
 their first periods.
 
+The closure runs breadth first and takes one layer at a time.  The
+layer's vectors are the rows of one int64 block, and one step builds
+every child: a gather into the step layout, a product with each
+element's int8 signs, the carry fold by digit, and one gcd per row.
+Only the children of classes below the base reach the class of 0.
+Their values there come first, and the first nonzero one in queue order
+stops the closure; only the children before it are span-tested, so the
+counters are those of a closure that takes one element at a time.  The
+children bound for one group are then tested as one block, in layer
+order, and the accepted ones, in layer order, make the next layer.
+
 Exact arithmetic throughout: vectors hold integers, and an element's
 scale is an integer numerator over base**(digits consumed), while the
 span tests run on primitive integer rows.  A form's value at 0 is one
@@ -46,10 +57,12 @@ for a witness.
 The span tests are the bulk of a noncorrelated decision, whose groups
 fill up to 2K / base rows.  A group therefore keeps its first DENSE_ROWS
 rows as lists of Python ints, which is all a correlated decision usually
-needs, and then moves them to an int64 array that reduces a vector
-against every row in one matrix-vector product.  Every array operation
-is bounded before it changes a row; when a bound fails, the group goes
-back to its lists for that operation and returns to the array after a
+needs, and takes a block one vector at a time there.  Then it moves to
+an int64 array, which reduces the whole block against every row in one
+matrix product, eliminates what is left among itself in block order and
+merges the accepted rows in one more product.  Every array operation is
+bounded before it changes a row; when a bound fails, the group goes
+back to its lists for the next vector and returns to the array after a
 later accepted row, once its entries fit again.  A step's product is
 bounded too and runs on Python ints when the bound fails, so the stored
 rows and every answer are the same as with lists alone.
@@ -57,7 +70,6 @@ rows and every answer are the same as with lists alone.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -73,23 +85,6 @@ from .pattern_sets import PatternSet, PeriodicFactor
 
 class InternalConsistencyError(RuntimeError):
     """A value recomputed along an independent route failed to match."""
-
-
-@dataclass(frozen=True)
-class BasisElement:
-    """One stored form: class index, integer coefficients, scale, digit trail.
-
-    The form has two coefficient blocks of length K (offset 0, then
-    offset 1), each tiled with period stride = K / base.  coeffs holds
-    the first period of each, so its width is 2K / base.  The form is
-    scale / base**len(provenance) times the blocks; provenance lists the
-    digits consumed so far, least significant first.
-    """
-
-    residue: int
-    coeffs: tuple[int, ...]
-    scale: int
-    provenance: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -125,6 +120,10 @@ class Decision:
         return record
 
 
+# A block of vectors: a 2-D array, or a sequence of integer sequences.
+Vectors = Union[np.ndarray, Sequence[Sequence[int]]]
+
+
 class ResidueBasis:
     """Per-class integer row spaces kept in reduced echelon form.
 
@@ -134,15 +133,19 @@ class ResidueBasis:
     column, so membership in the span is a single reduction pass and the
     stored shape is canonical.
 
-    A class keeps its rows as (pivot, row) pairs of Python ints in pivot
-    order and reduces a vector one row at a time.  Once it holds
-    DENSE_ROWS rows and every entry and the pivots' lcm fit the int64
-    bound, it moves to a _DenseRows array, which reduces a vector against
-    all of its rows in one product.  An array operation whose bound fails
-    moves the class back to the lists and runs there; the class returns
-    to the array after the next row the lists accept, once it fits again.
-    Both keep the same rows and give the same answers, and stored_rows
-    lists a class either way.
+    insert_block tests a block of vectors against one class in order and
+    stores each one that enlarges the span: a vector is accepted exactly
+    when it lies outside the span of the class rows and of the block's
+    earlier vectors, as if they were inserted one at a time.  A class
+    keeps its rows as (pivot, row) pairs of Python ints in pivot order
+    and takes a block one vector at a time.  Once it holds DENSE_ROWS
+    rows and every entry, the pivots' lcm and the reduction gain fit the
+    int64 bound, it moves to a _DenseRows array, which takes the rest of
+    a block at once.  An array operation whose bound fails moves the
+    class back to the lists, which take the next vector; the class
+    returns to the array after the next vector the lists accept, once it
+    fits again.  Both keep the same rows and give the same answers, and
+    stored_rows lists a class either way.
     """
 
     def __init__(self, classes: int, width: int):
@@ -182,9 +185,13 @@ class ResidueBasis:
                 v = [p * a - c * b for a, b in zip(v, row)]
         return v
 
-    def _check_width(self, vector: Sequence[int]) -> None:
-        if len(vector) != self._width:
-            raise ValueError(f"vector width {len(vector)} does not match {self._width}")
+    def _check_width(self, vectors: Vectors) -> None:
+        if isinstance(vectors, np.ndarray):
+            widths = {vectors.shape[-1] if vectors.ndim == 2 else -1}
+        else:
+            widths = {len(v) for v in vectors}
+        if widths - {self._width}:
+            raise ValueError(f"vector widths {sorted(widths)} do not match {self._width}")
 
     def _to_lists(self, residue: int) -> list[tuple[int, list[int]]]:
         """Move a class whose int64 bound failed to Python-int lists."""
@@ -193,11 +200,11 @@ class ResidueBasis:
 
     def contains(self, residue: int, vector: Sequence[int]) -> bool:
         """Whether the vector already lies in the span stored for a class."""
-        self._check_width(vector)
+        self._check_width([vector])
         rows = self._rows[residue]
         if isinstance(rows, _DenseRows):
             try:
-                return not rows.reduce(vector).any()
+                return not rows.reduce(_as_block([vector])).any()
             except OverflowError:
                 rows = self._to_lists(residue)
         return not any(self._reduce(rows, vector))
@@ -207,13 +214,34 @@ class ResidueBasis:
 
         Returns True when the vector enlarged the span.
         """
-        self._check_width(vector)
-        rows = self._rows[residue]
-        if isinstance(rows, _DenseRows):
-            try:
-                return rows.insert(vector)
-            except OverflowError:
-                rows = self._to_lists(residue)
+        return self.insert_block(residue, [vector])[0]
+
+    def insert_block(self, residue: int, vectors: Vectors) -> list[bool]:
+        """Test vectors in order against one class and store each that is independent.
+
+        Returns, for each vector, whether it enlarged the span of the
+        class rows and the vectors before it.
+        """
+        self._check_width(vectors)
+        accepted: list[bool] = []
+        listed = None
+        while len(accepted) < len(vectors):
+            done = len(accepted)
+            rows = self._rows[residue]
+            if isinstance(rows, _DenseRows):
+                try:
+                    accepted += rows.insert_block(_as_block(vectors[done:]))
+                    continue
+                except OverflowError:
+                    rows = self._to_lists(residue)
+            if listed is None:
+                listed = vectors.tolist() if isinstance(vectors, np.ndarray) else vectors
+            accepted.append(self._insert_listed(residue, rows, listed[done]))
+        return accepted
+
+    def _insert_listed(
+        self, residue: int, rows: list[tuple[int, list[int]]], vector: Sequence[int]
+    ) -> bool:
         v = self._reduce(rows, vector)
         for j, x in enumerate(v):
             if x:
@@ -255,6 +283,105 @@ DENSE_ROWS = 8
 # Every int64 operation of the array kernel is first bounded below this
 # in absolute value; int64 itself ends at 2**63.
 _INT64_SAFE = float(1 << 62)
+# the elimination of a block divides out row contents once an entry
+# reaches this
+_CONTENT_LIMIT = float(1 << 20)
+# a closure step takes at most this many entries of its (rows, 2 * base,
+# stride) layout at once, which bounds its temporary arrays
+_STEP_ENTRIES = 1 << 12
+
+
+def _as_block(vectors: Vectors) -> np.ndarray:
+    """The vectors as an int64 block; OverflowError if an entry passes the bound."""
+    if isinstance(vectors, np.ndarray):
+        if vectors.dtype != np.int64:
+            raise OverflowError("a block of Python ints")
+        return vectors
+    if max(abs(x) for v in vectors for x in v) >= _INT64_SAFE:
+        raise OverflowError("entries past the int64 bound")
+    return np.array(vectors, dtype=np.int64)
+
+
+def _int64_if(block: np.ndarray, factor: int) -> np.ndarray:
+    """The block as int64 if factor times its largest |entry| fits the bound, else as Python ints."""
+    top = int(np.abs(block).max()) if block.size else 0
+    dtype = np.int64 if factor * max(top, 1) < _INT64_SAFE else object
+    return block.astype(dtype, copy=False)
+
+
+def _scales_and_gain(
+    multiple: int, pivot_values: list[int], row_max: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """The scales lcm // p_i and the gain lcm + sum(scales * row_max).
+
+    For a vector with entries at most top in absolute value, every
+    partial sum of a reduction stays below top * gain.
+    """
+    scales = np.array([multiple // p for p in pivot_values], dtype=np.int64)
+    return scales, multiple + float(scales @ row_max)
+
+
+def _eliminate(work: np.ndarray) -> tuple[list[int], list[int], int]:
+    """Ordered fraction-free Gauss-Jordan elimination of an int64 block, in place.
+
+    Row i is picked when it is independent of the rows before it, and
+    its pivot column is its first nonzero one.  Returns the picked rows,
+    their pivot columns and the number of rows settled, all of them
+    unless a merge would pass 2**62.  Then it stops before the row whose
+    merges fail, or just after it when nothing was picked before, and
+    the rows after the settled ones are left unfinished.  The picked
+    rows have positive pivots and are zero at each other's pivot
+    columns, but may share a factor; the other settled rows are zero.
+    """
+    _divide_content(work)
+    live = work.any(axis=1)
+    # an upper bound on every |entry| of the block
+    top = float(np.abs(work).max())
+    picked: list[int] = []
+    columns: list[int] = []
+    settled = len(work)
+    i = 0
+    while True:
+        rest = live[i:].nonzero()[0]
+        if not rest.size:
+            break
+        i += int(rest[0])
+        row = work[i]
+        j = int(row.nonzero()[0][0])
+        if row[j] < 0:
+            row *= -1
+        hit = work[:, j].nonzero()[0]
+        hit = hit[hit != i]
+        if hit.size:
+            p = row[j]
+            if (float(p) + top) * top >= _INT64_SAFE:
+                if picked:
+                    settled = i
+                else:
+                    picked, columns, settled = [i], [j], i + 1
+                break
+            merged = p * work[hit] - work[hit, j][:, None] * row
+            # dividing out the contents costs more than the merge, so it
+            # waits until the entries grow
+            big = float(np.abs(merged).max())
+            if big >= _CONTENT_LIMIT:
+                _divide_content(merged)
+                big = float(np.abs(merged).max())
+            work[hit] = merged
+            live[hit] = merged.any(axis=1)
+            top = max(top, big)
+        picked.append(i)
+        columns.append(j)
+        i += 1
+    return picked, columns, settled
+
+
+def _divide_content(block: np.ndarray) -> np.ndarray:
+    """Divide each row of a block by the gcd of its entries, in place; the gcds, 1 for zero rows."""
+    contents = np.gcd.reduce(block, axis=1)
+    contents[contents == 0] = 1
+    block //= contents[:, None]
+    return contents
 
 
 class _DenseRows:
@@ -264,17 +391,26 @@ class _DenseRows:
     pivots[i] is row i's pivot column.  With lcm the least common
     multiple of the pivot values p_i and scales[i] = lcm // p_i,
 
-        lcm * v - (scales * v[pivots]) @ rows
+        lcm * V - (V[:, pivots] * scales) @ rows
 
-    is a positive multiple of what the sequential reduction leaves: the
-    rows are zero at each other's pivots, so row i clears pivot column
-    i of v and no other.  row_max holds each row's largest |entry|, and
-    every operation is bounded below 2**62 before any row changes: a
-    reduction checks gain times the vector's largest |entry|, with gain
-    fixed at each new row, and a new row checks the merges that clear
-    its pivot column and the new lcm.  A bound that fails raises
-    OverflowError with the rows untouched, and ResidueBasis runs the
-    operation on its Python-int lists instead.
+    is, row by row, a positive multiple of what the sequential reduction
+    leaves of a block V: the rows are zero at each other's pivots, so
+    row i clears pivot column i and no other.  insert_block eliminates
+    those residues among themselves in block order (_eliminate), which
+    picks exactly the vectors a one-at-a-time insertion would accept, and
+    merges the picked rows: the older rows nonzero at a new pivot column
+    take them out in one more product of the same form.
+
+    row_max holds each row's largest |entry|, and every operation is
+    bounded below 2**62 before any row changes: a reduction checks the
+    gain times the block's largest |entry|, the elimination checks each
+    of its merges, and adding new rows checks their own gain times the
+    older rows' largest entry, the new lcm and the new gain.  An
+    elimination that would pass the bound stops early: the rows it
+    settled are added, and the rest of the block starts again from its
+    vectors, reduced against every row.  Any other bound that fails
+    raises OverflowError with the rows untouched, and ResidueBasis runs
+    the next vector on its Python-int lists instead.
     """
 
     def __init__(self, listed: list[tuple[int, list[int]]], width: int):
@@ -285,78 +421,105 @@ class _DenseRows:
             raise OverflowError("rows past the int64 bound")
         count = len(listed)
         self.count = count
-        self.rows = np.zeros((2 * count, width), dtype=np.int64)
+        # room to double, but never past the width, which bounds the rank
+        capacity = min(2 * count, width)
+        self.rows = np.zeros((capacity, width), dtype=np.int64)
         self.rows[:count] = [row for _, row in listed]
-        self.pivots = np.zeros(2 * count, dtype=np.int64)
+        self.pivots = np.zeros(capacity, dtype=np.int64)
         self.pivots[:count] = [pivot for pivot, _ in listed]
-        self.row_max = np.zeros(2 * count)
+        self.row_max = np.zeros(capacity)
         self.row_max[:count] = np.abs(self.rows[:count]).max(axis=1)
-        self._rescale(multiple, pivot_values)
+        self.lcm = multiple
+        self.scales, self.gain = _scales_and_gain(multiple, pivot_values, self.row_max[:count])
+        # past this gain every reduction would fail its bound, so the
+        # class stays on its lists
+        if self.gain >= _INT64_SAFE:
+            raise OverflowError("reduction gain past the int64 bound")
 
     def __len__(self) -> int:
         return self.count
 
-    def _rescale(self, multiple: int, pivot_values: list[int]) -> None:
-        """Store the pivot values' lcm and the scales and gain it gives."""
-        self.lcm = multiple
-        self.scales = np.array([multiple // p for p in pivot_values], dtype=np.int64)
-        # for a vector with entries at most top in absolute value, every
-        # partial sum of reduce stays below top * gain
-        self.gain = multiple + float(self.scales @ self.row_max[: self.count])
-
-    def reduce(self, vector: Sequence[int]) -> np.ndarray:
-        """A positive multiple of the vector reduced against every row."""
+    def reduce(self, block: np.ndarray) -> np.ndarray:
+        """A positive multiple of each row of the block reduced against every row."""
         # compared as a quotient, so that no entry is ever made a float
-        if max(max(vector), -min(vector)) >= _INT64_SAFE / self.gain:
+        if np.abs(block).max() >= _INT64_SAFE / self.gain:
             raise OverflowError("reduction past the int64 bound")
-        v = np.array(vector, dtype=np.int64)
-        c = v[self.pivots[: self.count]]
-        if not c.any():
-            return v
-        return self.lcm * v - (self.scales * c) @ self.rows[: self.count]
-
-    def insert(self, vector: Sequence[int]) -> bool:
-        v = self.reduce(vector)
-        nonzero = v.nonzero()[0]
-        if not nonzero.size:
-            return False
-        j = int(nonzero[0])
-        g = np.gcd.reduce(v)
-        v //= -g if v[j] < 0 else g
         n = self.count
-        pivots = self.pivots[:n]
-        pivot_values = self.rows[np.arange(n), pivots]
-        # older rows nonzero at the new pivot j take v out and are made
-        # primitive again; their pivots stay positive, as v[j] > 0 and v
-        # is zero at the old pivots
-        column = self.rows[:n, j]
-        hit = column.nonzero()[0]
-        top = np.abs(v).max()
+        return self.lcm * block - (block[:, self.pivots[:n]] * self.scales) @ self.rows[:n]
+
+    def insert_block(self, block: np.ndarray) -> list[bool]:
+        """Store, in order, each row of the block that enlarges the span.
+
+        Returns whether each of the first rows was stored: all of them,
+        unless a bound fails after some were settled.  A bound that
+        fails before any row is settled raises OverflowError.
+        """
+        accepted: list[bool] = []
+        while len(accepted) < len(block):
+            try:
+                work = self.reduce(block[len(accepted):])
+                picked, columns, settled = _eliminate(work)
+                new = work[picked]
+                _divide_content(new)
+                self._merge(new, columns)
+            except OverflowError:
+                if accepted:
+                    return accepted
+                raise
+            settled_rows = [False] * settled
+            for i in picked:
+                settled_rows[i] = True
+            accepted += settled_rows
+        return accepted
+
+    def _merge(self, new: np.ndarray, columns: list[int]) -> None:
+        """Add primitive rows that are zero at every pivot column but their own."""
+        if not columns:
+            return
+        new_pivots = np.array(columns)
+        new_values = new[np.arange(len(columns)), new_pivots]
+        new_max = np.abs(new).max(axis=1).astype(np.float64)
+        n = self.count
+        rows, pivots = self.rows[:n], self.pivots[:n]
+        row_max = self.row_max[:n].copy()
+        pivot_values = rows[np.arange(n), pivots]
+        # older rows nonzero at a new pivot column take the new rows out,
+        # in one product as in reduce; their pivots stay positive, as the
+        # new rows are zero at the older pivots
+        c = rows[:, new_pivots]
+        hit = c.any(axis=1).nonzero()[0]
         if hit.size:
-            c = column[hit]
-            bound = float(v[j]) * self.row_max[hit] + np.abs(c) * float(top)
-            if bound.max() >= _INT64_SAFE:
+            multiple = lcm(*new_values.tolist())
+            if multiple >= _INT64_SAFE:
                 raise OverflowError("merge past the int64 bound")
-            merged = v[j] * self.rows[hit] - c[:, None] * v
-            merged //= np.gcd.reduce(merged, axis=1)[:, None]
+            scales, gain = _scales_and_gain(multiple, new_values.tolist(), new_max)
+            if row_max[hit].max() * gain >= _INT64_SAFE:
+                raise OverflowError("merge past the int64 bound")
+            merged = multiple * rows[hit] - (c[hit] * scales) @ new
+            _divide_content(merged)
             pivot_values[hit] = merged[np.arange(hit.size), pivots[hit]]
-        pivot_values = pivot_values.tolist() + [int(v[j])]
+            row_max[hit] = np.abs(merged).max(axis=1)
+        pivot_values = pivot_values.tolist() + new_values.tolist()
         multiple = lcm(*pivot_values)
         if multiple >= _INT64_SAFE:
             raise OverflowError("pivot lcm past the int64 bound")
+        row_max = np.concatenate([row_max, new_max])
+        scales, gain = _scales_and_gain(multiple, pivot_values, row_max)
+        if gain >= _INT64_SAFE:
+            raise OverflowError("reduction gain past the int64 bound")
+        total = n + len(columns)
+        if total > len(self.pivots):
+            extra = min(max(total, 2 * len(self.pivots)), self.rows.shape[1]) - len(self.pivots)
+            self.rows = np.concatenate([self.rows, np.zeros((extra, self.rows.shape[1]), np.int64)])
+            self.pivots = np.concatenate([self.pivots, np.zeros(extra, np.int64)])
+            self.row_max = np.concatenate([self.row_max, np.zeros(extra)])
         if hit.size:
             self.rows[hit] = merged
-            self.row_max[hit] = np.abs(merged).max(axis=1)
-        if n == len(self.pivots):
-            self.rows = np.concatenate([self.rows, np.zeros_like(self.rows)])
-            self.pivots = np.concatenate([self.pivots, np.zeros_like(self.pivots)])
-            self.row_max = np.concatenate([self.row_max, np.zeros_like(self.row_max)])
-        self.rows[n] = v
-        self.pivots[n] = j
-        self.row_max[n] = top
-        self.count = n + 1
-        self._rescale(multiple, pivot_values)
-        return True
+        self.rows[n:total] = new
+        self.pivots[n:total] = new_pivots
+        self.row_max[:total] = row_max
+        self.count = total
+        self.lcm, self.scales, self.gain = multiple, scales, gain
 
     def listed(self) -> list[tuple[int, list[int]]]:
         """The (pivot, row) pairs in pivot order, as Python ints."""
@@ -388,15 +551,19 @@ def evaluate_at_zero(
     meets the sum of the numerators on the classes a mod K / base.  A
     Fraction is made only for a nonzero value.
     """
-    base = table.base
-    stride = table.modulus // base
-    denominator = table.denominator
-    total = base * denominator * sum(coeffs[:stride]) + sum(
-        map(mul, coeffs[stride:] * base, table.numerators)
-    )
+    total = _total_at_zero(coeffs, table)
     if not total:
         return _ZERO
-    return Fraction(scale * total, denominator * base**depth)
+    return Fraction(scale * total, table.denominator * table.base**depth)
+
+
+def _total_at_zero(coeffs: Sequence[int], table: CorrelationTable) -> int:
+    """The numerator of evaluate_at_zero before its scale: zero exactly when the value is."""
+    base = table.base
+    stride = table.modulus // base
+    return base * table.denominator * sum(coeffs[:stride]) + sum(
+        map(mul, coeffs[stride:] * base, table.numerators)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -418,15 +585,15 @@ def _step_index(base: int, modulus: int) -> tuple[np.ndarray, np.ndarray, np.nda
 
 
 @lru_cache(maxsize=None)
-def _carries(base: int, digit: int) -> np.ndarray:
-    """The 0/1 matrix taking layout row o * base + j to the half of its carry.
+def _carries(base: int) -> np.ndarray:
+    """For each digit, the 0/1 matrix taking layout row o * base + j to the half of its carry.
 
     The row goes to the high half exactly when digit + o + j reaches the
     base.
     """
     columns = np.arange(2 * base)
-    carry = digit + columns // base + columns % base >= base
-    return np.stack([~carry, carry]).astype(np.int64)
+    carry = np.arange(base)[:, None] + columns // base + columns % base >= base
+    return np.stack([~carry, carry], axis=1).astype(np.int64)
 
 
 @lru_cache(maxsize=8)
@@ -442,84 +609,125 @@ def _step_signs(factor: PeriodicFactor) -> np.ndarray:
 
 
 def expand_element(
-    element: BasisElement, table: CorrelationTable
-) -> tuple[list[int], tuple[int, ...], int, tuple[int, ...], Optional[Fraction]]:
-    """One closure step: consume the least digit of the element's class.
+    residues: np.ndarray, vectors: np.ndarray, source: np.ndarray, table: CorrelationTable
+) -> tuple[np.ndarray, np.ndarray]:
+    """One closure step for each element of a layer: consume the least digit of its class.
 
-    Returns what the children share: their target classes in ascending
-    order, their coefficient vector, scale and provenance, followed by
-    the form's value on the class of 0 when that class was reached (only
-    classes below the base reach it).  When the zero class is reached
-    the same vector also continues on the positive-multiples class,
-    because the residue class splits into the point 0 and the positive
-    multiples.  The caller builds the children only if it keeps them.
+    Element i sits on class residues[i], in 1 .. K, and its coefficients
+    are the row source[i] of vectors.  Returns the rows of the elements'
+    children's shared vectors, each made primitive, and the content each
+    was divided by, which multiplies the element's scale.  Entry r of
+    offset block o, signed by h(r) h(r + q + o), goes to entry r
+    floordiv base of the child's low or high half, by its carry (digit +
+    o + r % base) floordiv base.  Each child entry sums 2 * base entries
+    of the element, which bounds the int64 step; past the bound the step
+    runs on Python ints.  The elements go a bounded chunk at a time, so
+    the step's temporary arrays stay small.
     """
     base = table.base
     modulus = table.modulus
-    stride = modulus // base
-    q = element.residue
-    digit = q % base
-    # Entry r of offset block o, signed by h(r) h(r + q + o), goes to
-    # entry r floordiv base of the child's low or high half, by its carry
-    # (digit + o + r % base) floordiv base.  Each child entry sums 2 *
-    # base entries of the element, which bounds the int64 step.
-    w = element.coeffs
-    top = max(max(w), -min(w))
-    u = np.array(w, dtype=np.int64 if 2 * base * top < _INT64_SAFE else object)
     gather = _step_index(base, modulus)[0]
-    signs = _step_signs(table.factor)[q % modulus]
-    child = (_carries(base, digit) @ (u[gather] * signs)).ravel().tolist()
-    g = gcd(*child) or 1
-    if g > 1:
-        child = [x // g for x in child]
-    coeffs = tuple(child)
-    scale = element.scale * g
-    provenance = element.provenance + (digit,)
-    head = q // base
-    targets = [stride * d + head for d in range(base)]
-    point_value: Optional[Fraction] = None
-    if head == 0:
-        point_value = evaluate_at_zero(coeffs, scale, len(provenance), table)
-        # the zero part of the class splits off; what remains of the
-        # class is exactly the positive multiples of the modulus
-        targets = targets[1:] + [modulus]
-    return targets, coeffs, scale, provenance, point_value
+    size = max(1, _STEP_ENTRIES // (2 * modulus))
+    children = np.empty((len(residues), vectors.shape[1]), dtype=np.int64)
+    for lo in range(0, len(residues), size):
+        q = residues[lo : lo + size]
+        block = _int64_if(vectors[source[lo : lo + size]], 2 * base)
+        signs = _step_signs(table.factor)[q % modulus]
+        chunk = _carries(base)[q % base] @ (block[:, gather] * signs)
+        if chunk.dtype != children.dtype:
+            children = children.astype(object)
+        children[lo : lo + size] = chunk.reshape(len(q), -1)
+    return children, _divide_content(children)
+
+
+def _test_groups(basis: ResidueBasis, children: np.ndarray, groups: np.ndarray) -> np.ndarray:
+    """Span-test a layer's children, one block per group; which were accepted, in layer order."""
+    order = np.argsort(groups, kind="stable")
+    ordered = groups[order]
+    cuts = (np.flatnonzero(np.diff(ordered)) + 1).tolist()
+    accepted = np.zeros(len(order), dtype=bool)
+    for lo, hi in zip([0] + cuts, cuts + [len(order)]):
+        rows = order[lo:hi]
+        accepted[rows] = basis.insert_block(int(ordered[lo]), children[rows])
+    return accepted
 
 
 def decide(pattern_set: PatternSet, level: Union[int, None] = None) -> Decision:
     """Decide whether every shifted correlation of the sequence vanishes.
 
-    Runs the closure breadth first so that witnesses surface in order of
-    their digit count.  Every correlated verdict is cross-checked: the
-    evaluated form value must equal K times the independently computed
-    exact correlation at the witness shift, and the reported witness is
-    refined to the smallest shift with a nonzero correlation (capped at
-    K * K sweeps).
+    Runs the closure breadth first, one layer at a time, so that
+    witnesses surface in order of their digit count.  Every correlated
+    verdict is cross-checked: the evaluated form value must equal K times
+    the independently computed exact correlation at the witness shift,
+    and the reported witness is refined to the smallest shift with a
+    nonzero correlation (capped at K * K sweeps).
     """
     table = bootstrap(pattern_set, level)
     base = table.base
     modulus = table.modulus
     stride = modulus // base
-    # the classes t of a carry group t % stride hold the same rows, so
-    # one row space per group answers for all of them
-    basis = ResidueBasis(stride, 2 * stride)
     seed = (1,) * stride + (0,) * stride
-    for group in range(stride):
-        basis.insert(group, seed)
-    queue = deque(BasisElement(t, seed, 1, ()) for t in range(1, modulus + 1))
+    # the classes t of a carry group t % stride hold the same rows, so
+    # one row space per group answers for all of them.  It is seeded
+    # before the first span test: a closure that stops on its first
+    # step tests nothing.
+    basis = None
+    # the layer in queue order: each element's class, its vector as a row
+    # of vectors (the base elements of one child share it), and the
+    # position of the element it came from.  trail keeps the classes,
+    # contents and parents of the finished layers, from which a witness
+    # takes its digits and scale.
+    residues = np.arange(1, modulus + 1)
+    vectors = np.array([seed], dtype=np.int64)
+    source = np.zeros(modulus, dtype=np.int64)
+    parents = None
+    trail = []
     created = modulus
     expansions = 0
-    while queue:
-        element = queue.popleft()
-        expansions += 1
-        targets, coeffs, scale, provenance, point_value = expand_element(element, table)
-        if point_value is not None and point_value != 0:
-            return _correlated_decision(
-                table, provenance, point_value, created, expansions
-            )
-        if basis.insert(targets[0] % stride, coeffs):
-            queue.extend(BasisElement(t, coeffs, scale, provenance) for t in targets)
-            created += len(targets)
+    while residues.size:
+        heads = residues // base
+        # only the few children of classes below the base meet the class
+        # of 0, and the first nonzero value among them stops the closure
+        stop = None
+        near = (heads == 0).nonzero()[0]
+        if near.size:
+            met, met_contents = expand_element(residues[near], vectors, source[near], table)
+            for found, coeffs in enumerate(met.tolist()):
+                if _total_at_zero(coeffs, table):
+                    stop = int(near[found])
+                    break
+        end = residues.size if stop is None else stop
+        if end:
+            if basis is None:
+                basis = ResidueBasis(stride, 2 * stride)
+                for group in range(stride):
+                    basis.insert(group, seed)
+            children, contents = expand_element(residues[:end], vectors, source[:end], table)
+            accepted = _test_groups(basis, children, heads[:end] % stride)
+            created += base * int(np.count_nonzero(accepted))
+        if stop is not None:
+            expansions += stop + 1
+            scale = int(met_contents[found])
+            digits = [int(residues[stop]) % base]
+            position, up = stop, parents
+            for layer_residues, layer_contents, layer_parents in reversed(trail):
+                position = int(up[position])
+                digits.append(int(layer_residues[position]) % base)
+                scale *= int(layer_contents[position])
+                up = layer_parents
+            provenance = tuple(reversed(digits))
+            value = evaluate_at_zero(coeffs, scale, len(provenance), table)
+            return _correlated_decision(table, provenance, value, created, expansions)
+        expansions += residues.size
+        trail.append((residues, contents, parents))
+        kept = np.flatnonzero(accepted)
+        heads = heads[kept]
+        # the classes stride * d + head, class K standing in for 0
+        residues = (heads[:, None] + stride * (np.arange(base) + (heads == 0)[:, None])).ravel()
+        vectors = children[kept]
+        del children
+        source = np.repeat(np.arange(len(kept)), base)
+        parents = kept[source]
     if created != base * basis.total_rows:
         raise InternalConsistencyError(
             f"stored {created} elements for {basis.total_rows} group rows"

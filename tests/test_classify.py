@@ -242,19 +242,31 @@ if __name__ == "__main__":
 """
 
 
-def test_sweeps_run_under_spawn():
+def _fresh_interpreter(code):
+    """Run code in a new interpreter that finds patcorr in src/; its standard output."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
     done = subprocess.run(
-        [sys.executable, "-c", SPAWNED_SWEEPS],
+        [sys.executable, "-c", code],
         env=env,
         capture_output=True,
         text=True,
         timeout=300,
         check=True,
     )
-    spawned = json.loads(done.stdout)
+    return done.stdout
+
+
+def test_import_does_not_load_multiprocessing():
+    # only a sweep with more than one worker makes a pool and imports it
+    loaded = _fresh_interpreter("import sys, patcorr; print(*sorted(sys.modules))").split()
+    assert "patcorr" in loaded
+    assert not {"multiprocessing", "socket", "selectors"} & set(loaded)
+
+
+def test_sweeps_run_under_spawn():
+    spawned = json.loads(_fresh_interpreter(SPAWNED_SWEEPS))
     assert spawned["method"] == "spawn"
     assert spawned["census"] == census(2, 3, keep_sets=True).to_record()
     assert spawned["theorem_c"] == check_theorem_c(3).to_record()

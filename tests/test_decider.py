@@ -1,9 +1,11 @@
 import json
 import random
 from collections import defaultdict, deque
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,7 +18,6 @@ from patcorr.classify import (
 from patcorr.correlation import bootstrap
 from patcorr.decider import (
     DENSE_ROWS,
-    BasisElement,
     Decision,
     InternalConsistencyError,
     ResidueBasis,
@@ -33,6 +34,48 @@ def ps(text, base=2):
 
 
 F = Fraction
+
+
+@dataclass(frozen=True)
+class BasisElement:
+    """One queued form of the per-element closure: class, coefficients, scale, digit trail.
+
+    The form is scale / base**len(provenance) times the coefficients,
+    and provenance lists the digits consumed so far, least significant
+    first.
+    """
+
+    residue: int
+    coeffs: tuple
+    scale: int
+    provenance: tuple
+
+
+def _expand_one(element, table):
+    """The closure step of one element: expand_element on a layer of that element alone.
+
+    Returns what the element's children share: their target classes in
+    ascending order, their coefficient vector, scale and provenance,
+    then the form's value on the class of 0 when that class was reached
+    (only classes below the base reach it).  There the same vector also
+    continues on the positive-multiples class K.
+    """
+    base, modulus = table.base, table.modulus
+    stride = modulus // base
+    q = element.residue
+    children, contents = expand_element(
+        np.array([q]), np.array([element.coeffs], dtype=object), np.array([0]), table
+    )
+    coeffs = tuple(int(x) for x in children[0])
+    scale = element.scale * int(contents[0])
+    provenance = element.provenance + (q % base,)
+    head = q // base
+    targets = [stride * d + head for d in range(base)]
+    point = None
+    if head == 0:
+        point = evaluate_at_zero(coeffs, scale, len(provenance), table)
+        targets = targets[1:] + [modulus]
+    return targets, coeffs, scale, provenance, point
 
 
 class TestWitnessEncoding:
@@ -98,7 +141,7 @@ def _sparse(rng, width, top=3):
     return [rng.randint(-top, top) if rng.random() < 0.35 else 0 for _ in range(width)]
 
 
-def _spiked(rng, width, spike):
+def _spiked(rng, width, spike, after=20):
     # small sparse vectors until a class has grown past the switch on
     # int64; after that, with a nonzero spike, a third of them get one
     # entry of about that size
@@ -108,7 +151,7 @@ def _spiked(rng, width, spike):
         nonlocal made
         made += 1
         vec = _sparse(rng, width)
-        if spike and made > 20 and rng.random() < 0.3:
+        if spike and made > after and rng.random() < 0.3:
             vec[rng.randrange(width)] = rng.choice((-1, 1)) * (spike + rng.randint(0, 99))
         return tuple(vec)
 
@@ -182,6 +225,43 @@ class TestResidueBasis:
                 assert any(len(rows) > DENSE_ROWS for rows in stored.values())
             assert bool(moved) == (spike > 0)
 
+    def test_blocks_match_one_at_a_time(self, monkeypatch):
+        # blocks of 1 to 12 vectors against one vector at a time, past the
+        # switch to the array kernel.  Small entries keep the blocks on
+        # int64.  Entries near 2**31 and 2**61 fit int64, but once rows
+        # of that size are stored, reductions pass their bound; entries
+        # near 2**70 do not fit at all.  The last three reach the lists.
+        moved = _count_moves_to_lists(monkeypatch)
+        rng = random.Random(43)
+        width = 19
+        for spike in (0, 1 << 31, 1 << 61, 1 << 70):
+            moved.clear()
+            make = _spiked(rng, width, spike, after=10)
+            blocked, single = ResidueBasis(1, width), ResidueBasis(1, width)
+            stored = []
+            for _ in range(12):
+                vectors = [make() for _ in range(rng.randint(1, 12))]
+                if stored and rng.random() < 0.3:
+                    # an element of the span among them
+                    picks = rng.sample(stored, min(3, len(stored)))
+                    coefs = [rng.randint(-4, 4) for _ in picks]
+                    vectors.insert(
+                        rng.randrange(len(vectors)),
+                        tuple(sum(k * x for k, x in zip(coefs, col)) for col in zip(*picks)),
+                    )
+                top = max(abs(x) for v in vectors for x in v)
+                block = np.array(vectors, dtype=np.int64 if top < 1 << 62 else object)
+                grew = blocked.insert_block(0, block)
+                blocked_moves = len(moved)
+                assert grew == [single.insert(0, v) for v in vectors]
+                # only the moves of the blocked basis count
+                del moved[blocked_moves:]
+                stored.extend(v for v, g in zip(vectors, grew) if g)
+                assert blocked.stored_rows(0) == single.stored_rows(0)
+            assert blocked.rows_in(0) > DENSE_ROWS
+            assert blocked.stored_rows(0) == _canonical_rows(stored)
+            assert bool(moved) == (spike > 0)
+
     def test_class_returns_to_int64_after_transient_overflow(self, monkeypatch):
         # in this base-4 family some merges that clear a new pivot column
         # pass the int64 bound: the group moves to Python ints for that
@@ -197,11 +277,12 @@ class TestResidueBasis:
                 super().__init__(classes, width)
                 made.append(self)
 
-            def insert(self, residue, vector):
-                tested.append(residue)
-                grew = super().insert(residue, vector)
-                if grew:
-                    accepted[residue].append(vector)
+            def insert_block(self, residue, vectors):
+                grew = super().insert_block(residue, vectors)
+                tested.extend([residue] * len(vectors))
+                accepted[residue].extend(
+                    tuple(int(x) for x in v) for v, g in zip(vectors, grew) if g
+                )
                 return grew
 
         monkeypatch.setattr(decider, "ResidueBasis", Recorded)
@@ -209,7 +290,7 @@ class TestResidueBasis:
         assert decision.noncorrelated
         (basis,) = made
         assert len(moved) > 1
-        # the lists finish a moved insert without a second call
+        # every child is tested once, whether its block or the lists take it
         assert len(tested) == decision.expansions + 16
         for group in set(moved):
             assert isinstance(basis._rows[group], decider._DenseRows)
@@ -280,14 +361,27 @@ class TestResidueBasis:
             (0, 0, 0, 0, 0, 0, 0, 0, 29, 0, -13, -3),
             (0, 0, -2, 0, 0, 0, 0, 1, 0, 4, 0, 0),
         ]
-        basis = ResidueBasis(1, len(rows[0]))
-        for row in rows:
-            assert basis.insert(0, row)
-        assert isinstance(basis._rows[0], decider._DenseRows)
         moved = _count_moves_to_lists(monkeypatch)
+        basis = ResidueBasis(1, len(rows[0]))
+        for count, row in enumerate(rows, 1):
+            assert basis.insert(0, row)
+            if count == DENSE_ROWS:
+                assert isinstance(basis._rows[0], decider._DenseRows)
+                assert moved == []
+            if count == 9:
+                # the ninth row fails a merge bound and the lists take it.
+                # Its rows' lcm fits int64, but their reduction gain
+                # L + sum (L / p_i) max|R_i| passes 2**62, so every later
+                # reduction would fail: the class stays on its lists.
+                assert moved == [0]
+                assert not isinstance(basis._rows[0], decider._DenseRows)
+                assert basis.stored_rows(0) == _canonical_rows(rows[:9])
+        # the tenth row brings the gain back under the bound
+        assert isinstance(basis._rows[0], decider._DenseRows)
+        assert basis.stored_rows(0) == _canonical_rows(rows)
         last = (0, 0, 0, 0, 0, 5, 0, 4, 0, 0, -3, 0)
         assert basis.insert(0, last)
-        assert moved == [0]
+        assert moved == [0, 0]
         assert basis.stored_rows(0) == _canonical_rows(rows + [last])
 
     def test_zero_vector_always_contained(self):
@@ -360,7 +454,7 @@ def _expand_by_digit(element, table):
     """Reference: the closure step at full width, one add per coefficient and class.
 
     Takes an element whose coeffs hold both offset blocks in full, 2K
-    entries.  Returns what expand_element returns: the target classes,
+    entries.  Returns what _expand_one returns: the target classes,
     the children's coeffs, scale and provenance, and the point value,
     but with the scale as a Fraction and the point value evaluated with
     Fraction arithmetic on the entries.
@@ -460,7 +554,7 @@ class TestExpansion:
                 residue = rng.randint(1, K)
                 scale = rng.randint(1, 50)
                 element = BasisElement(residue, coeffs, scale, (1, 0))
-                targets, child, child_scale, provenance, point = expand_element(
+                targets, child, child_scale, provenance, point = _expand_one(
                     element, table
                 )
                 full = BasisElement(residue, _tile(coeffs, base), scale, (1, 0))
@@ -472,6 +566,55 @@ class TestExpansion:
                     point,
                 ) == _expand_by_digit(full, table)
 
+    def test_layer_matches_its_elements(self):
+        # a layer in one step gives each row the child of its element,
+        # on int64 and, once one row passes the bound, on Python ints
+        rng = random.Random(37)
+        for table in _random_tables(rng):
+            base, K = table.base, table.modulus
+            rows = [_compressed(rng, 2 * K // base) for _ in range(40)]
+            residues = [rng.randint(1, K) for _ in rows]
+            small = [i for i, row in enumerate(rows) if max(map(abs, row)) < 1 << 40]
+            for picks in (small, range(len(rows))):
+                block = np.array([rows[i] for i in picks], dtype=object)
+                children, contents = expand_element(
+                    np.array([residues[i] for i in picks]), block, np.arange(len(picks)), table
+                )
+                assert len(children) == len(contents) == len(picks)
+                for i, child, content in zip(picks, children, contents):
+                    _, coeffs, scale, _, _ = _expand_one(
+                        BasisElement(residues[i], rows[i], 1, ()), table
+                    )
+                    assert tuple(int(x) for x in child) == coeffs
+                    assert int(content) == scale
+
+    def test_chunks_switch_to_python_ints(self, monkeypatch):
+        # a layer steps a few rows at a time, and the base elements of one
+        # child share its vector; a chunk with a row past the int64 bound
+        # turns the layer's children into Python ints
+        monkeypatch.setattr(decider, "_STEP_ENTRIES", 1)
+        table = bootstrap(ps("1,101"))
+        base, K = table.base, table.modulus
+        rows = [(1, -2, 0, 3, 0, 1, 1, 0), (1 << 61, 0, 1, 0, 0, 0, 1, 1), (2, 2, 0, 0, 1, 0, 0, 0)]
+        residues = [1, 6, 8, 3, 4]
+        source = [0, 1, 2, 0, 2]
+        for dtype, picks in ((np.int64, [0, 2]), (object, [0, 1, 2])):
+            vectors = np.array([rows[i] for i in picks], dtype=dtype)
+            chosen = [i for i in range(len(source)) if source[i] in picks]
+            children, contents = expand_element(
+                np.array([residues[i] for i in chosen]),
+                vectors,
+                np.array([picks.index(source[i]) for i in chosen]),
+                table,
+            )
+            assert children.dtype == (np.int64 if 1 not in picks else object)
+            for i, child, content in zip(chosen, children, contents):
+                _, coeffs, scale, _, _ = _expand_one(
+                    BasisElement(residues[i], rows[source[i]], 1, ()), table
+                )
+                assert tuple(int(x) for x in child) == coeffs
+                assert int(content) == scale
+
     def test_single_digit_first_step(self):
         # the shift-1 seed for the parity-of-ones set: one shared child
         # vector lands on the remaining plain class and the
@@ -479,7 +622,7 @@ class TestExpansion:
         # value, twice the correlation at shift 1
         table = bootstrap(ps("1"))
         seed = BasisElement(residue=1, coeffs=(1, 0), scale=1, provenance=())
-        targets, coeffs, scale, provenance, point = expand_element(seed, table)
+        targets, coeffs, scale, provenance, point = _expand_one(seed, table)
         assert point == F(-2, 3)
         assert targets == [1, 2]
         assert coeffs == (-1, -1)
@@ -490,7 +633,7 @@ class TestExpansion:
         # class 4 = K: digit 0 is consumed, halves land on classes 2 and K
         table = bootstrap(ps("11"))
         seed = BasisElement(residue=4, coeffs=(1, 1, 0, 0), scale=1, provenance=())
-        targets, _, _, provenance, point = expand_element(seed, table)
+        targets, _, _, provenance, point = _expand_one(seed, table)
         assert point is None
         assert targets == [2, 4]
         assert provenance == (0,)
@@ -511,7 +654,7 @@ class TestExpansion:
             )
             while frontier and seen < 120:
                 element = frontier.popleft()
-                targets, coeffs, scale, provenance, point = expand_element(element, table)
+                targets, coeffs, scale, provenance, point = _expand_one(element, table)
                 if point is not None:
                     shift = witness_from_provenance(provenance, 2)
                     assert point == K * table.correlation(shift), (text, shift)
@@ -681,15 +824,17 @@ class TestLargerClosures:
     )
     def test_span_tests_per_decision(self, length, calls, accepted, monkeypatch):
         # one span test per seed group and per expansion, and one
-        # accepted row per base children; the benchmark's traced counts
+        # accepted row per base children.  decide tests each layer's
+        # children in one block per group, and a seed is a block of one,
+        # so these count block rows.
         results = []
-        insert = ResidueBasis.insert
-        monkeypatch.setattr(
-            ResidueBasis,
-            "insert",
-            lambda basis, residue, vector: results.append(insert(basis, residue, vector))
-            or results[-1],
-        )
+        insert_block = ResidueBasis.insert_block
+
+        def counted_block(basis, residue, vectors):
+            results.extend(insert_block(basis, residue, vectors))
+            return results[-len(vectors):]
+
+        monkeypatch.setattr(ResidueBasis, "insert_block", counted_block)
         decision = decide(saturated_family_from_hadamard(sylvester_hadamard(2), length))
         assert decision.noncorrelated
         assert len(results) == calls == decision.expansions + 2 ** (length - 1)
@@ -824,8 +969,14 @@ class TestGroupedClosure:
             record = json.dumps(decide(a).to_record())
             expected, per_class = _decide_per_class(a)
             assert record == json.dumps(expected.to_record()), str(a)
-            (basis,) = grouped
             modulus = per_class.width // 2
+            if not grouped:
+                # the closure stopped on its first step, before it seeded
+                # its groups for a span test
+                assert expected.expansions == 1
+                assert per_class.total_rows == modulus
+                continue
+            (basis,) = grouped
             stride = modulus // a.base
             assert basis.width == 2 * stride
             # each class holds its group's rows, tiled back to full
@@ -834,3 +985,125 @@ class TestGroupedClosure:
                 rows = [_full_row(*row, a.base) for row in basis.stored_rows(t % stride)]
                 assert per_class.stored_rows(t) == rows, (str(a), t)
             assert per_class.total_rows == a.base * basis.total_rows
+
+
+def _decide_per_element(pattern_set):
+    """Reference: the closure one element at a time, with one span test per child.
+
+    A queue of elements, one _expand_one step and one
+    ResidueBasis.insert for each.  Returns the decision, the basis, and
+    the elements the last expansion's layer had created before it.
+    """
+    table = bootstrap(pattern_set)
+    base, modulus = table.base, table.modulus
+    stride = modulus // base
+    basis = ResidueBasis(stride, 2 * stride)
+    seed = (1,) * stride + (0,) * stride
+    for group in range(stride):
+        basis.insert(group, seed)
+    queue = deque(BasisElement(t, seed, 1, ()) for t in range(1, modulus + 1))
+    created = modulus
+    expansions = 0
+    depth = created_in_layer = 0
+    while queue:
+        element = queue.popleft()
+        expansions += 1
+        if len(element.provenance) > depth:
+            depth, created_in_layer = len(element.provenance), 0
+        targets, coeffs, scale, provenance, point = _expand_one(element, table)
+        if point is not None and point != 0:
+            decision = decider._correlated_decision(
+                table, provenance, point, created, expansions
+            )
+            return decision, basis, created_in_layer
+        if basis.insert(targets[0] % stride, coeffs):
+            queue.extend(BasisElement(t, coeffs, scale, provenance) for t in targets)
+            created += len(targets)
+            created_in_layer += len(targets)
+    return Decision(True, None, None, created, expansions), basis, created_in_layer
+
+
+@pytest.fixture
+def layered(monkeypatch):
+    """Compare decide with the per-element loop: the same record and the same rows.
+
+    Returns a check that decides a set both ways, asserts the same
+    record JSON and the same rows in every group, and returns the
+    per-element decision, the elements its last layer created before it
+    stopped, and the moves of decide's groups from int64 to lists.
+    """
+    made = []
+
+    class Recorded(ResidueBasis):
+        def __init__(self, classes, width):
+            super().__init__(classes, width)
+            made.append(self)
+
+    monkeypatch.setattr(decider, "ResidueBasis", Recorded)
+    moved = _count_moves_to_lists(monkeypatch)
+
+    def check(pattern_set):
+        made.clear()
+        moved.clear()
+        record = json.dumps(decide(pattern_set).to_record())
+        moves = list(moved)
+        expected, per_element, created_in_layer = _decide_per_element(pattern_set)
+        assert record == json.dumps(expected.to_record()), str(pattern_set)
+        stride = per_element.width // 2
+        if not made:
+            # stopped on the first step, before the groups were seeded
+            assert expected.expansions == 1
+            assert per_element.total_rows == stride
+            return expected, created_in_layer, moves
+        (basis,) = made
+        for group in range(stride + 1):
+            assert basis.stored_rows(group) == per_element.stored_rows(group), (
+                str(pattern_set),
+                group,
+            )
+        return expected, created_in_layer, moves
+
+    return check
+
+
+class TestLayeredClosure:
+    @pytest.mark.parametrize(
+        "family",
+        [
+            _binary_up_to_three,
+            _binary_four_sample,
+            _base_three_two_digit,
+            _base_four_hadamard,
+            _binary_saturated_five,
+        ],
+        ids=lambda family: family.__name__.strip("_"),
+    )
+    def test_matches_per_element_loop(self, family, layered):
+        for a in family():
+            layered(a)
+
+    def test_groups_moved_to_lists_match(self, layered):
+        # merges past the int64 bound send groups of this family to their
+        # lists, in the block tests as in the per-element loop
+        decision, _, moves = layered(random_hadamard_family(4, 3, random.Random(416)))
+        assert decision.noncorrelated
+        assert moves
+
+    def test_binary_length_seven(self, layered):
+        # K = 128: 64 groups of rows of width 128
+        decision, _, _ = layered(saturated_family_from_hadamard(sylvester_hadamard(2), 7))
+        assert decision.noncorrelated
+        assert decision.elements_created == 128 * 128 - 2
+
+    def test_stop_after_accepted_children_of_its_layer(self, layered):
+        # correlated sets whose first nonzero value at 0 comes after the
+        # first layer, behind children that layer has already accepted:
+        # created and expansions count only what came before the stop
+        rng = random.Random(401)
+        stopped_late = 0
+        for _ in range(300):
+            a = PatternSet.from_mask(2, 4, rng.randrange(1 << 15) << 1)
+            decision, created_in_layer, _ = layered(a)
+            if not decision.noncorrelated and decision.expansions > 16:
+                stopped_late += created_in_layer > 0
+        assert stopped_late >= 30
