@@ -5,8 +5,8 @@ decision procedure and tallies the noncorrelated ones.  Saturation is
 the combinatorial property behind them: windows of fixed interior agree
 in exactly half of the leading digits for every pair of trailing
 digits, which is the same as a family of normalized Hadamard matrices.
-Twisting multiplies a sequence by a periodic sign and rebuilds the
-pattern set of the product.
+Twisting multiplies a sequence by a periodic sign and reads the pattern
+set of the product off its ratio.
 """
 
 from __future__ import annotations
@@ -18,15 +18,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-from .decider import InternalConsistencyError, decide
-from .pattern_sets import (
-    PatternSet,
-    PeriodicFactor,
-    ReconstructionError,
-    evaluate,
-    reconstruct_pattern_set,
-    remove_leading_zeros,
-)
+from .decider import decide
+from .pattern_sets import PatternSet, PeriodicFactor, periodic_factor, remove_leading_zeros
 from .words import Word, check_base
 
 SELECTIONS = ("all", "self-invariant")
@@ -442,9 +435,10 @@ def twist(pattern_set: PatternSet, factor: PeriodicFactor) -> PatternSet:
     """The pattern set generating the sequence multiplied by a periodic sign.
 
     The factor must start at +1 and its period must divide
-    base ** (length - 1); under those conditions the product is again a
-    pattern sign sequence of the same length, and the constant-length
-    set generating it comes back.
+    base ** (length - 1).  The product a(n) p(n) then has the ratio
+    h(n) p(n) p(n floordiv base), which has period base**length, so by
+    the last-window rule the product is generated by the words v of
+    that length at which this ratio is -1.
     """
     base = pattern_set.base
     if factor.base != base:
@@ -457,13 +451,8 @@ def twist(pattern_set: PatternSet, factor: PeriodicFactor) -> PatternSet:
         raise ValueError(
             f"factor period {factor.period} must divide {span} at length {length}"
         )
-
-    def twisted(n: int) -> int:
-        return evaluate(pattern_set, n) * factor(n)
-
-    try:
-        return reconstruct_pattern_set(twisted, length, base)
-    except ReconstructionError as exc:
-        raise InternalConsistencyError(
-            f"twisting left the pattern family unexpectedly: {exc}"
-        ) from exc
+    ratio = periodic_factor(pattern_set).values
+    mask = sum(
+        1 << v for v, sign in enumerate(ratio) if sign * factor(v) * factor(v // base) < 0
+    )
+    return PatternSet.from_mask(base, length, mask)

@@ -18,7 +18,6 @@ from typing import Optional, Sequence
 from .classify import (
     CensusReport,
     census,
-    check_theorem_c,
     saturation_violation,
     twist,
 )
@@ -28,16 +27,15 @@ from .oracle import empirical_correlation, empirical_restricted_correlation
 from .pattern_sets import (
     PatternSet,
     PeriodicFactor,
-    ReconstructionError,
     invariant_decomposition,
 )
 from .suites import SUITE_NAMES, run_suite
 
 # Largest operating modulus base**level a set command accepts: binary
 # length 8.  Decision time and memory set the limit, not the tables
-# (bootstrap takes about 0.6 s at K = 512): a saturated binary length-8
-# decision takes about 20 s and 130 MB on a 2-vCPU machine, and each
-# doubling of K multiplies the time and the rows' memory by about 8.
+# (bootstrap takes about 0.5 ms at K = 512): a saturated binary length-8
+# decision takes 6.4-8.5 s and 159 MB on a 2-vCPU machine, and each
+# doubling of K multiplies the decision time by 7.5 to 9.5.
 MAX_MODULUS = 256
 # Largest --workers of census and verify, and largest census family.
 # Every pool word doubles the family, so 2**16 candidates means --length
@@ -358,7 +356,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     try:
         ns = parser.parse_args(argv)
         return ns.handler(ns)
-    except (InternalConsistencyError, ReconstructionError) as exc:
+    except InternalConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 2
     except _UsageError as exc:

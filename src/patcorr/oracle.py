@@ -20,7 +20,6 @@ import numpy as np
 from .pattern_sets import (
     PatternSet,
     _operating_level,
-    _sign_table,
     evaluate,
     periodic_factor,
     remove_leading_zeros,
@@ -54,16 +53,19 @@ def sequence_values(
     Unrolling a(base * n + d) = a(n) h(base * n + d) k times gives, for
     the width W = base**k, a(W q + r) = a(q) g(q mod P, r) with
     P = base**(level - 1) and g(s, r) = a(W s + r) a(s).  With W = base,
-    g is the ratio table h; that gives the first P * W values for a width
-    of at least 256, hence its g, and the rest follow in rows of that
-    width.
+    g is the ratio table h, and a(n) = h(n) a(n floordiv base) gives the
+    first P * base values one digit level at a time.  Unrolling those
+    gives the first P * W values for a width of at least 256, hence its
+    g, and the rest follow in rows of that width.
     """
     if count < 1:
         raise ValueError("need at least one sequence value")
     lvl = _operating_level(pattern_set, level)
     base = pattern_set.base
-    signs = np.array(_sign_table(pattern_set, lvl), dtype=np.int8)
     ratio = np.array(periodic_factor(pattern_set, lvl).values, dtype=np.int8)
+    signs = np.ones(1, dtype=np.int8)
+    while len(signs) < len(ratio):
+        signs = ratio[: len(signs) * base] * np.repeat(signs, base)
     period = len(ratio) // base
     width = base
     while width < 256:

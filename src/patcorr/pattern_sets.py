@@ -10,6 +10,13 @@ n.  Two rewrite systems bring A to canonical shape without changing the
 sequence: one removes leading zeros, the other equalizes word lengths.
 Both rest on the identity that the count of v equals the summed counts
 of the one-digit-longer words d.v over all digits d.
+
+Sign tables come from the last-window rule.  Appending a digit to n
+adds exactly the occurrences that end at that digit, so the ratio
+h(n) = a(n) / a(n floordiv base) is -1 exactly when an odd number of
+members w satisfy n = value(w) mod base**len(w).  The ratio therefore
+depends only on the last digits of n, and a(n) follows from it one
+digit at a time.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Iterator, Union
 
-from .words import Word, check_base, count_in_integer, count_set
+from .words import Word, check_base, count_set, value_of
 
 
 class ReconstructionError(ValueError):
@@ -162,29 +169,6 @@ def symmetric_difference(first: PatternSet, second: PatternSet) -> PatternSet:
     return PatternSet(first.base, tuple(set(first.words) ^ set(second.words)))
 
 
-@lru_cache(maxsize=1 << 15)
-def _occurrence_parity_bits(digits: tuple[int, ...], base: int, level: int) -> int:
-    """Bit n holds the parity of the count of one word in n, for n < base**level.
-
-    Cached per word so that sweeps over many sets sharing a word pool,
-    as in a census, pay for each word only once.
-    """
-    word = Word(base, digits)
-    bits = 0
-    for n in range(base**level):
-        if count_in_integer(word, n) & 1:
-            bits |= 1 << n
-    return bits
-
-
-def _sign_table(pattern_set: PatternSet, level: int) -> list[int]:
-    """a(n) for all n < base**level, via cached per-word parities."""
-    parity = 0
-    for w in pattern_set.words:
-        parity ^= _occurrence_parity_bits(w.digits, pattern_set.base, level)
-    return [-1 if (parity >> n) & 1 else 1 for n in range(pattern_set.base**level)]
-
-
 @lru_cache(maxsize=None)
 def _constant_length_words(base: int, length: int) -> tuple[Word, ...]:
     """All words of one length, indexed by value."""
@@ -227,25 +211,15 @@ def remove_leading_zeros(pattern_set: PatternSet) -> PatternSet:
 def to_constant_length(pattern_set: PatternSet, length: int) -> PatternSet:
     """The unique equivalent set whose words all have the given length.
 
-    Each step replaces one shortest word v by the layer {d.v : d digit},
-    again without changing the sequence.  Leading zeros are allowed in
-    the result; the zero block never appears because v is admissible.
+    By the last-window rule, a set of words of one length L has the
+    ratio h(n) = -1 exactly when the last L digits of n spell a member.
+    So the result holds the length-L words v with h(v) = -1, where h is
+    the ratio at operating length L.  Leading zeros are allowed in the
+    result; the zero block never appears because h(0) = +1.
     """
-    if length < pattern_set.length:
-        raise ValueError(
-            f"target length {length} is below the longest word length {pattern_set.length}"
-        )
-    base = pattern_set.base
-    words = set(pattern_set.words)
-    while True:
-        short = sorted((w for w in words if len(w) < length), key=Word.sort_key)
-        if not short:
-            break
-        v = short[0]
-        toggle = {Word(base, (d,) + v.digits) for d in range(base)}
-        toggle.add(v)
-        words ^= toggle
-    return PatternSet(base, tuple(words))
+    ratio = periodic_factor(pattern_set, length).values
+    mask = sum(1 << v for v, sign in enumerate(ratio) if sign < 0)
+    return PatternSet.from_mask(pattern_set.base, length, mask)
 
 
 def is_self_invariant(pattern_set: PatternSet) -> bool:
@@ -304,12 +278,18 @@ def periodic_factor(pattern_set: PatternSet, level: Union[int, None] = None) -> 
 
     The sequence then satisfies a(n) = h(n mod base**level) * a(n floordiv base)
     for every n, which is the one-step recursion everything else builds on.
+    By the last-window rule, each member w flips h on the residues
+    n = value(w) mod base**len(w).  h(0) = +1 because no admissible word
+    has value 0.
     """
     lvl = _operating_level(pattern_set, level)
     base = pattern_set.base
-    signs = _sign_table(pattern_set, lvl)
-    values = tuple(signs[n] * signs[n // base] for n in range(base**lvl))
-    return PeriodicFactor(base, values)
+    modulus = base**lvl
+    values = [1] * modulus
+    for w in pattern_set.words:
+        for n in range(value_of(w), modulus, base ** len(w)):
+            values[n] = -values[n]
+    return PeriodicFactor(base, tuple(values))
 
 
 def kernel_quotient(pattern_set: PatternSet, alpha: int, shift: int) -> PeriodicFactor:
