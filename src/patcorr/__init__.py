@@ -20,7 +20,6 @@ from .classify import (
     saturated_family_from_hadamard,
     saturation_violation,
     sylvester_hadamard,
-    twist,
 )
 from .correlation import CorrelationTable, bootstrap, correlation, restricted_correlation
 from .decider import Decision, InternalConsistencyError, decide
@@ -44,6 +43,7 @@ from .pattern_sets import (
     reconstruct_pattern_set,
     remove_leading_zeros,
     to_constant_length,
+    twist,
 )
 from .suites import SUITE_NAMES, SuiteResult, run_suite
 from .words import Word, count_in_integer, count_set, expand, value_of

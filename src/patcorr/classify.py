@@ -1,12 +1,12 @@
-"""Classification tools: censuses, the saturation test, and twists.
+"""Classification tools: censuses and the saturation test.
 
 The census sweeps every candidate pattern set in a family through the
 decision procedure and tallies the noncorrelated ones.  Saturation is
 the combinatorial property behind them: windows of fixed interior agree
 in exactly half of the leading digits for every pair of trailing
 digits, which is the same as a family of normalized Hadamard matrices.
-Twisting multiplies a sequence by a periodic sign and reads the pattern
-set of the product off its ratio.
+Both take a set's leading-zero-free form, which remove_leading_zeros
+reads off the ratio.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from .decider import decide
-from .pattern_sets import PatternSet, PeriodicFactor, periodic_factor, remove_leading_zeros
+from .pattern_sets import PatternSet, remove_leading_zeros
 from .words import Word, check_base
 
 SELECTIONS = ("all", "self-invariant")
@@ -426,33 +426,3 @@ def check_theorem_c(max_length: int, workers: int = 1) -> EquivalenceReport:
         mismatches=[mismatch for _, mismatch, _ in outcomes if mismatch is not None],
         peak_stored=max(created for _, _, created in outcomes),
     )
-
-
-# === twisting ===
-
-
-def twist(pattern_set: PatternSet, factor: PeriodicFactor) -> PatternSet:
-    """The pattern set generating the sequence multiplied by a periodic sign.
-
-    The factor must start at +1 and its period must divide
-    base ** (length - 1).  The product a(n) p(n) then has the ratio
-    h(n) p(n) p(n floordiv base), which has period base**length, so by
-    the last-window rule the product is generated by the words v of
-    that length at which this ratio is -1.
-    """
-    base = pattern_set.base
-    if factor.base != base:
-        raise ValueError("factor base does not match the set")
-    if factor(0) != 1:
-        raise ValueError("the factor must start at +1")
-    length = pattern_set.length
-    span = base ** (length - 1)
-    if span % factor.period != 0:
-        raise ValueError(
-            f"factor period {factor.period} must divide {span} at length {length}"
-        )
-    ratio = periodic_factor(pattern_set).values
-    mask = sum(
-        1 << v for v, sign in enumerate(ratio) if sign * factor(v) * factor(v // base) < 0
-    )
-    return PatternSet.from_mask(base, length, mask)

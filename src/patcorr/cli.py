@@ -15,12 +15,7 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .classify import (
-    CensusReport,
-    census,
-    saturation_violation,
-    twist,
-)
+from .classify import CensusReport, census, saturation_violation
 from .correlation import bootstrap
 from .decider import InternalConsistencyError, decide
 from .oracle import empirical_correlation, empirical_restricted_correlation
@@ -28,6 +23,7 @@ from .pattern_sets import (
     PatternSet,
     PeriodicFactor,
     invariant_decomposition,
+    twist,
 )
 from .suites import SUITE_NAMES, run_suite
 
@@ -71,7 +67,7 @@ def _emit(record: dict) -> None:
     print(json.dumps(record, sort_keys=True, separators=(",", ":")))
 
 
-def _add_set_arguments(parser: argparse.ArgumentParser) -> None:
+def _add_set_arguments(parser: argparse.ArgumentParser, level: bool = False) -> None:
     parser.add_argument("-k", "--base", type=int, default=2, help="digit base (default 2)")
     parser.add_argument(
         "-s",
@@ -80,6 +76,9 @@ def _add_set_arguments(parser: argparse.ArgumentParser) -> None:
         required=True,
         help='comma-separated digit words, e.g. "01,11"; "" is the empty set',
     )
+    if not level:
+        parser.set_defaults(level=None)
+        return
     parser.add_argument(
         "--level",
         type=int,
@@ -93,12 +92,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("decide", help="decide whether all shifted correlations vanish")
-    _add_set_arguments(p)
+    _add_set_arguments(p, level=True)
     p.add_argument("--structured", action="store_true")
     p.set_defaults(handler=_cmd_decide)
 
     p = sub.add_parser("correlation", help="exact correlation values")
-    _add_set_arguments(p)
+    _add_set_arguments(p, level=True)
     p.add_argument("--shift", type=int, default=None, help="a single shift")
     p.add_argument("--max-shift", type=int, default=None, help="sweep shifts 1..MAX")
     p.add_argument("--residue", type=int, default=None, help="restrict to one class")
@@ -135,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_twist)
 
     p = sub.add_parser("estimate", help="empirical correlation from a prefix")
-    _add_set_arguments(p)
+    _add_set_arguments(p, level=True)
     p.add_argument("--shift", type=int, required=True)
     p.add_argument("--samples", type=int, default=1 << 20)
     p.add_argument("--residue", type=int, default=None)

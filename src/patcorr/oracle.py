@@ -173,14 +173,19 @@ def check_cancellation(pattern_set: PatternSet, middle: Word, first: int, second
 
 
 @lru_cache(maxsize=64)
-def _saturated_reduced(pattern_set: PatternSet) -> tuple[PatternSet, int]:
-    """A saturated set's leading-zero-free form and modulus, checked once."""
+def _saturated_reduced(pattern_set: PatternSet) -> tuple[int, tuple[int, ...]]:
+    """A saturated set's modulus K and signs a(n) for n < K + base, checked once.
+
+    The signs are counted with evaluate, independently of the ratio.
+    """
     from .classify import is_saturated
 
     reduced = remove_leading_zeros(pattern_set)
     if not is_saturated(reduced):
         raise ValueError("the closed form needs a saturated set")
-    return reduced, reduced.base**reduced.length
+    modulus = reduced.base**reduced.length
+    signs = tuple(evaluate(reduced, n) for n in range(modulus + reduced.base))
+    return modulus, signs
 
 
 def saturated_closed_form(pattern_set: PatternSet, residue: int, shift: int) -> Fraction:
@@ -191,12 +196,12 @@ def saturated_closed_form(pattern_set: PatternSet, residue: int, shift: int) -> 
     otherwise.  The operating length is the longest word length of the
     leading-zero-free form.
     """
-    reduced, modulus = _saturated_reduced(pattern_set)
-    base = reduced.base
+    modulus, signs = _saturated_reduced(pattern_set)
+    base = pattern_set.base
     if not 0 <= residue < modulus:
         raise ValueError(f"residue must lie in [0, {modulus}), got {residue}")
     if shift < 1:
         raise ValueError("the closed form covers shifts >= 1 only")
     if residue % base + shift < base:
-        return Fraction(evaluate(reduced, residue) * evaluate(reduced, residue + shift))
+        return Fraction(signs[residue] * signs[residue + shift])
     return Fraction(0)

@@ -5,11 +5,7 @@ which is a block of zeros.  It defines the sign sequence
 
     a(n) = (-1) ** c(n)
 
-where c(n) totals the padded occurrence counts of the members of A in
-n.  Two rewrite systems bring A to canonical shape without changing the
-sequence: one removes leading zeros, the other equalizes word lengths.
-Both rest on the identity that the count of v equals the summed counts
-of the one-digit-longer words d.v over all digits d.
+where c(n) totals the padded occurrence counts of the members of A in n.
 
 Sign tables come from the last-window rule.  Appending a digit to n
 adds exactly the occurrences that end at that digit, so the ratio
@@ -17,6 +13,13 @@ h(n) = a(n) / a(n floordiv base) is -1 exactly when an odd number of
 members w satisfy n = value(w) mod base**len(w).  The ratio therefore
 depends only on the last digits of n, and a(n) follows from it one
 digit at a time.
+
+Every structure tool reads this ratio.  The leading-zero-free form,
+the constant-length form and the twist are each the one set of their
+shape with the required ratio.  Appending the digits of s to n multiplies
+a by the ratio at each step, so a kernel quotient
+a(base**alpha * n + s) / a(n) is a product of ratio values.  Only
+evaluate and reconstruct_pattern_set count words; they are the oracles.
 """
 
 from __future__ import annotations
@@ -190,21 +193,19 @@ def _constant_length_words(base: int, length: int) -> tuple[Word, ...]:
 def remove_leading_zeros(pattern_set: PatternSet) -> PatternSet:
     """The unique leading-zero-free set with the same sign sequence.
 
-    A word 0.v counts exactly as the whole layer {d.v : d digit} plus v
-    counts, so toggling that layer together with v eliminates 0.v
-    without touching the sequence.  The rewrite never increases word
-    lengths and terminates because the weight of leading zeros drops.
+    For an n of l digits, the ratios of a leading-zero-free set at n and
+    at n mod base**(l - 1) differ by exactly the member spelling n, if
+    any.  So the expansion of n is a member when the two values differ.
     """
     base = pattern_set.base
-    words = set(pattern_set.words)
-    while True:
-        flagged = sorted((w for w in words if w.digits[0] == 0), key=Word.sort_key)
-        if not flagged:
-            break
-        tail = flagged[0].digits[1:]
-        toggle = {Word(base, (d,) + tail) for d in range(base)}
-        toggle.add(Word(base, tail))
-        words ^= toggle
+    ratio = periodic_factor(pattern_set).values
+    words = []
+    for length in range(1, pattern_set.length + 1):
+        table = _constant_length_words(base, length)
+        low = base ** (length - 1)
+        words.extend(
+            table[n] for n in range(low, low * base) if ratio[n] != ratio[n % low]
+        )
     return PatternSet(base, tuple(words))
 
 
@@ -222,42 +223,52 @@ def to_constant_length(pattern_set: PatternSet, length: int) -> PatternSet:
     return PatternSet.from_mask(pattern_set.base, length, mask)
 
 
+def twist(pattern_set: PatternSet, factor: PeriodicFactor) -> PatternSet:
+    """The pattern set generating the sequence multiplied by a periodic sign.
+
+    The factor must start at +1 and its period must divide
+    base ** (length - 1).  The product a(n) p(n) then has the ratio
+    h(n) p(n) p(n floordiv base), which has period base**length, so by
+    the last-window rule the product is generated by the words v of
+    that length at which this ratio is -1.
+    """
+    base = pattern_set.base
+    if factor.base != base:
+        raise ValueError("factor base does not match the set")
+    if factor(0) != 1:
+        raise ValueError("the factor must start at +1")
+    length = pattern_set.length
+    span = base ** (length - 1)
+    if span % factor.period != 0:
+        raise ValueError(
+            f"factor period {factor.period} must divide {span} at length {length}"
+        )
+    ratio = periodic_factor(pattern_set).values
+    mask = sum(
+        1 << v for v, sign in enumerate(ratio) if sign * factor(v) * factor(v // base) < 0
+    )
+    return PatternSet.from_mask(base, length, mask)
+
+
 def is_self_invariant(pattern_set: PatternSet) -> bool:
     """Whether a(base * n) = a(n) for all n.
 
-    This holds exactly when the leading-zero-free form has no word
-    ending in 0.
+    a(base * n) = h(base * n) a(n), so this holds exactly when the ratio
+    is +1 on every multiple of the base.
     """
-    reduced = remove_leading_zeros(pattern_set)
-    return all(w.digits[-1] != 0 for w in reduced.words)
+    ratio = periodic_factor(pattern_set).values
+    return all(sign > 0 for sign in ratio[:: pattern_set.base])
 
 
 def invariant_decomposition(pattern_set: PatternSet) -> tuple[PatternSet, PeriodicFactor]:
     """Split a(n) = p(n) * b(n) with b self-invariant and p periodic.
 
-    Words ending in 0 are peeled off the leading-zero-free form: the
-    difference between v.0 and the layer {v.d : d digit} plus v flips
-    the sign exactly on one residue class, which is periodic.  The
-    returned factor has period base ** (length - 1).
+    At length L the self-invariant part is b(n) = a(base**(L - 1) * n),
+    so p = kernel_quotient(a, L - 1, 0) and b is the twist of a by p.
+    No other p of that period with p(0) = +1 leaves b self-invariant.
     """
-    base = pattern_set.base
-    level = pattern_set.length
-    reduced = remove_leading_zeros(pattern_set)
-    words = set(reduced.words)
-    while True:
-        flagged = sorted((w for w in words if w.digits[-1] == 0), key=Word.sort_key)
-        if not flagged:
-            break
-        head = flagged[0].digits[:-1]
-        toggle = {Word(base, head + (d,)) for d in range(base)}
-        toggle.add(Word(base, head))
-        words ^= toggle
-    invariant = PatternSet(base, tuple(words))
-    period = base ** (level - 1)
-    values = tuple(
-        evaluate(pattern_set, n) * evaluate(invariant, n) for n in range(period)
-    )
-    return invariant, PeriodicFactor(base, values)
+    factor = kernel_quotient(pattern_set, pattern_set.length - 1, 0)
+    return remove_leading_zeros(twist(pattern_set, factor)), factor
 
 
 # === kernel structure ===
@@ -295,21 +306,26 @@ def periodic_factor(pattern_set: PatternSet, level: Union[int, None] = None) -> 
 def kernel_quotient(pattern_set: PatternSet, alpha: int, shift: int) -> PeriodicFactor:
     """The quotient a(base**alpha * n + shift) / a(n) as a periodic factor.
 
-    The quotient has period base ** (length - 1) in n, for any alpha >= 0
-    and 0 <= shift < base**alpha.
+    Appending the alpha digits of shift to n one at a time, the first i
+    spell top = shift floordiv base**(alpha - i), so the quotient is the
+    product of h(base**i * n + top) over i = 1..alpha.  It has period
+    base ** (length - 1) in n for any alpha >= 0 and
+    0 <= shift < base**alpha.
     """
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
     base = pattern_set.base
     if not 0 <= shift < base**alpha:
         raise ValueError(f"shift must lie in [0, {base**alpha}), got {shift}")
-    period = base ** (pattern_set.length - 1)
-    step = base**alpha
-    values = tuple(
-        evaluate(pattern_set, step * n + shift) * evaluate(pattern_set, n)
-        for n in range(period)
-    )
-    return PeriodicFactor(base, values)
+    ratio = periodic_factor(pattern_set).values
+    modulus = len(ratio)
+    values = [1] * (modulus // base)
+    for i in range(1, alpha + 1):
+        top = shift // base ** (alpha - i)
+        step = base**i
+        for n in range(len(values)):
+            values[n] *= ratio[(step * n + top) % modulus]
+    return PeriodicFactor(base, tuple(values))
 
 
 def reconstruct_pattern_set(

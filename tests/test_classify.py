@@ -18,11 +18,10 @@ from patcorr.classify import (
     saturated_family_from_hadamard,
     saturation_violation,
     sylvester_hadamard,
-    twist,
 )
 from patcorr.correlation import bootstrap
 from patcorr.decider import decide
-from patcorr.pattern_sets import PatternSet, PeriodicFactor, to_constant_length
+from patcorr.pattern_sets import PatternSet, PeriodicFactor, to_constant_length, twist
 from patcorr.words import Word
 
 

@@ -226,6 +226,22 @@ class TestParsing:
     def test_bad_level(self, capsys):
         assert run(["decide", "-s", "101", "--level", "1"]) == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["saturation", "-s", "11"],
+            ["decompose", "-s", "10"],
+            ["twist", "-s", "11", "--factor", "+-"],
+        ],
+        ids=["saturation", "decompose", "twist"],
+    )
+    def test_level_only_where_it_is_used(self, capsys, argv):
+        # these commands have no operating length, so --level is unknown
+        assert run(argv + ["--level", "4"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--level" in captured.err
+
     def test_large_level_rejected_before_work(self, capsys):
         assert run(["decide", "-s", "1", "--level", "22"]) == 1
         assert "exceeds 256" in capsys.readouterr().err

@@ -1,24 +1,29 @@
 """Sign tables from the last-window rule against the count route.
 
-periodic_factor, sequence_values, to_constant_length and twist all read
-their signs off the ratio h.  These tests check each against evaluate,
-which counts every occurrence of every word, and against the rewrites
-and reconstruction they replaced.
+periodic_factor, sequence_values, the canonical forms, twist, the
+kernel quotients and the invariant decomposition all read their signs
+off the ratio h.  These tests check each against evaluate, which counts
+every occurrence of every word, and against the rewrites and
+reconstruction they replaced.
 """
 
 import random
 
 import pytest
 
-from patcorr.classify import twist
 from patcorr.oracle import sequence_values
 from patcorr.pattern_sets import (
     PatternSet,
     PeriodicFactor,
     evaluate,
+    invariant_decomposition,
+    is_self_invariant,
+    kernel_quotient,
     periodic_factor,
     reconstruct_pattern_set,
+    remove_leading_zeros,
     to_constant_length,
+    twist,
 )
 from patcorr.words import Word
 
@@ -39,6 +44,7 @@ CASES = [
     for extra in (0, 1)
 ]
 CASE_IDS = [f"{text}/{base}@{level}" for text, base, level in CASES]
+SET_IDS = [f"{text}/{base}" for text, base in SETS]
 
 
 def _sample(stop, size, seed):
@@ -67,6 +73,51 @@ def _toggled_to_constant_length(pattern_set, length):
     return PatternSet(base, tuple(words))
 
 
+def _toggled_remove_leading_zeros(pattern_set):
+    """The leading-zero-free form by rewriting, one shortest word at a time.
+
+    A word 0.v counts exactly as the layer {d.v : d digit} plus v, so
+    toggling that layer together with v removes 0.v and leaves the
+    sequence unchanged.
+    """
+    base = pattern_set.base
+    words = set(pattern_set.words)
+    while True:
+        flagged = sorted((w for w in words if w.digits[0] == 0), key=Word.sort_key)
+        if not flagged:
+            break
+        tail = flagged[0].digits[1:]
+        toggle = {Word(base, (d,) + tail) for d in range(base)}
+        toggle.add(Word(base, tail))
+        words ^= toggle
+    return PatternSet(base, tuple(words))
+
+
+def _peeled_decomposition(pattern_set):
+    """The invariant decomposition by rewriting, with a counted factor.
+
+    Words ending in 0 are peeled off the leading-zero-free form: v.0
+    differs from the layer {v.d : d digit} plus v by a sign flip on one
+    residue class.  The factor is a(n) b(n), counted with evaluate.
+    """
+    base = pattern_set.base
+    words = set(_toggled_remove_leading_zeros(pattern_set).words)
+    while True:
+        flagged = sorted((w for w in words if w.digits[-1] == 0), key=Word.sort_key)
+        if not flagged:
+            break
+        head = flagged[0].digits[:-1]
+        toggle = {Word(base, head + (d,)) for d in range(base)}
+        toggle.add(Word(base, head))
+        words ^= toggle
+    invariant = PatternSet(base, tuple(words))
+    values = tuple(
+        evaluate(pattern_set, n) * evaluate(invariant, n)
+        for n in range(base ** (pattern_set.length - 1))
+    )
+    return invariant, PeriodicFactor(base, values)
+
+
 @pytest.mark.parametrize("text, base, level", CASES, ids=CASE_IDS)
 class TestAgainstCounts:
     def test_periodic_factor(self, text, base, level):
@@ -89,6 +140,48 @@ class TestAgainstCounts:
         constant = to_constant_length(a, level)
         assert constant == _toggled_to_constant_length(a, level)
         assert {len(w) for w in constant.words} <= {level}
+
+
+@pytest.mark.parametrize("text, base", SETS, ids=SET_IDS)
+class TestStructureAgainstCounts:
+    def test_remove_leading_zeros(self, text, base):
+        a = PatternSet.parse(text, base)
+        reduced = remove_leading_zeros(a)
+        assert reduced == _toggled_remove_leading_zeros(a)
+        assert all(w.digits[0] != 0 for w in reduced.words)
+
+    def test_invariant_decomposition(self, text, base):
+        a = PatternSet.parse(text, base)
+        invariant, factor = invariant_decomposition(a)
+        assert (invariant, factor) == _peeled_decomposition(a)
+        # the self-invariant part is a(base**(L - 1) * n)
+        step = base ** (a.length - 1)
+        for n in _sample(4 * base**a.length, 300, 1):
+            assert evaluate(invariant, n) == evaluate(a, step * n), n
+
+    @pytest.mark.parametrize("alpha", [0, 1, 2, 3])
+    def test_kernel_quotient(self, text, base, alpha):
+        a = PatternSet.parse(text, base)
+        width = base**alpha
+        rng = random.Random(alpha)
+        shifts = {0, width - 1, width // 2, rng.randrange(width), rng.randrange(width)}
+        for shift in sorted(shifts):
+            quotient = kernel_quotient(a, alpha, shift)
+            assert quotient.period == base ** (a.length - 1)
+            for n in _sample(3 * quotient.period, 200, shift):
+                expected = evaluate(a, width * n + shift) * evaluate(a, n)
+                assert quotient(n) == expected, (shift, n)
+
+    def test_is_self_invariant(self, text, base):
+        # a(base * n) / a(n) = h(base * n), which has period base**(L - 1) in n
+        a = PatternSet.parse(text, base)
+        invariant, _ = invariant_decomposition(a)
+        for s in (a, invariant):
+            counted = all(
+                evaluate(s, base * n) == evaluate(s, n) for n in range(base**a.length)
+            )
+            assert is_self_invariant(s) == counted
+        assert is_self_invariant(invariant)
 
 
 def _factors(base, period):
