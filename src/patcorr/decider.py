@@ -59,13 +59,14 @@ fill up to 2K / base rows.  A group therefore keeps its first DENSE_ROWS
 rows as lists of Python ints, which is all a correlated decision usually
 needs, and takes a block one vector at a time there.  Then it moves to
 an int64 array, which reduces the whole block against every row in one
-matrix product, eliminates what is left among itself in block order and
-merges the accepted rows in one more product.  Every array operation is
-bounded before it changes a row; when a bound fails, the group goes
-back to its lists for the next vector and returns to the array after a
-later accepted row, once its entries fit again.  A step's product is
-bounded too and runs on Python ints when the bound fails, so the stored
-rows and every answer are the same as with lists alone.
+matrix product and runs one ordered elimination over the stored rows
+and what is left of the block: each accepted row's pivot column is
+cleared from every other row, the stored ones included.  Every array
+operation is bounded before it changes a row; when a bound fails, the
+group goes back to its lists for the next vector and returns to the
+array after a later accepted row, once its entries fit again.  A step's
+product is bounded too and runs on Python ints when the bound fails, so
+the stored rows and every answer are the same as with lists alone.
 """
 
 from __future__ import annotations
@@ -141,11 +142,12 @@ class ResidueBasis:
     and takes a block one vector at a time.  Once it holds DENSE_ROWS
     rows and every entry, the pivots' lcm and the reduction gain fit the
     int64 bound, it moves to a _DenseRows array, which takes the rest of
-    a block at once.  An array operation whose bound fails moves the
-    class back to the lists, which take the next vector; the class
-    returns to the array after the next vector the lists accept, once it
-    fits again.  Both keep the same rows and give the same answers, and
-    stored_rows lists a class either way.
+    a block in one elimination, or in several where a bound stops one
+    early.  An array operation that fails its bound before it settles a
+    vector moves the class back to the lists, which take that vector;
+    the class returns to the array after the next vector the lists
+    accept, once it fits again.  Both keep the same rows and give the
+    same answers, and stored_rows lists a class either way.
     """
 
     def __init__(self, classes: int, width: int):
@@ -261,7 +263,7 @@ class ResidueBasis:
         rows.sort(key=lambda item: item[0])
         if len(rows) >= DENSE_ROWS:
             try:
-                self._rows[residue] = _DenseRows(rows, self._width)
+                self._rows[residue] = _DenseRows(rows)
             except OverflowError:
                 pass
         return True
@@ -309,71 +311,76 @@ def _int64_if(block: np.ndarray, factor: int) -> np.ndarray:
     return block.astype(dtype, copy=False)
 
 
-def _scales_and_gain(
-    multiple: int, pivot_values: list[int], row_max: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """The scales lcm // p_i and the gain lcm + sum(scales * row_max).
+def _eliminate(work: np.ndarray, start: int) -> tuple[list[int], list[int], int]:
+    """Ordered fraction-free Gauss-Jordan elimination of an int64 stack, in place.
 
-    For a vector with entries at most top in absolute value, every
-    partial sum of a reduction stays below top * gain.
+    The rows before start are stored rows, and the rows from start on
+    are zero at the stored rows' pivot columns.  Row i >= start is picked
+    when it is independent of the rows before it, and its pivot column,
+    its first nonzero one, is then cleared from every other row of the
+    stack, the stored rows included.  Returns the picked rows, their
+    pivot columns and the number of rows settled from start on, all of
+    them unless a merge would pass 2**62.  Then it stops before the row
+    whose merges fail, and the rows from there on are left unfinished;
+    when that row is the first, nothing is settled and it raises
+    OverflowError.  The picked rows have positive pivots and every row
+    is zero at the others' pivot columns, but may share a factor; the
+    other settled rows are zero.
     """
-    scales = np.array([multiple // p for p in pivot_values], dtype=np.int64)
-    return scales, multiple + float(scales @ row_max)
-
-
-def _eliminate(work: np.ndarray) -> tuple[list[int], list[int], int]:
-    """Ordered fraction-free Gauss-Jordan elimination of an int64 block, in place.
-
-    Row i is picked when it is independent of the rows before it, and
-    its pivot column is its first nonzero one.  Returns the picked rows,
-    their pivot columns and the number of rows settled, all of them
-    unless a merge would pass 2**62.  Then it stops before the row whose
-    merges fail, or just after it when nothing was picked before, and
-    the rows after the settled ones are left unfinished.  The picked
-    rows have positive pivots and are zero at each other's pivot
-    columns, but may share a factor; the other settled rows are zero.
-    """
-    _divide_content(work)
-    live = work.any(axis=1)
-    # an upper bound on every |entry| of the block
-    top = float(np.abs(work).max())
+    _divide_content(work[start:])
+    # the largest |entry| of each row, 0 for a zero row, and a bound on
+    # them all
+    tops = np.abs(work).max(axis=1).astype(np.float64)
+    top = float(tops.max())
     picked: list[int] = []
     columns: list[int] = []
-    settled = len(work)
-    i = 0
+    i = start
     while True:
-        rest = live[i:].nonzero()[0]
+        rest = tops[i:].nonzero()[0]
         if not rest.size:
-            break
+            return picked, columns, len(work) - start
         i += int(rest[0])
         row = work[i]
         j = int(row.nonzero()[0][0])
-        if row[j] < 0:
+        p = int(row[j])
+        if p < 0:
             row *= -1
-        hit = work[:, j].nonzero()[0]
-        hit = hit[hit != i]
+            p = -p
+        column = work[:, j].copy()
+        column[i] = 0
+        hit = column.nonzero()[0]
         if hit.size:
-            p = row[j]
-            if (float(p) + top) * top >= _INT64_SAFE:
-                if picked:
-                    settled = i
-                else:
-                    picked, columns, settled = [i], [j], i + 1
-                break
-            merged = p * work[hit] - work[hit, j][:, None] * row
+            # each hit row, times a = p / g, takes out row times b = c / g,
+            # where p is the pivot value, c the row's entry at the pivot
+            # column and g = gcd(p, c)
+            c = column[hit]
+            g = np.gcd(c, p)
+            a, b = p // g, c // g
+            # the bound over the whole stack is the cheaper one; a merge
+            # fails only when the bound over its own rows fails too
+            if (p + top) * top >= _INT64_SAFE and (
+                (a * tops[hit] + np.abs(b) * tops[i]).max() >= _INT64_SAFE
+            ):
+                if i == start:
+                    raise OverflowError("merge past the int64 bound")
+                return picked, columns, i - start
+            merged = work[hit]
+            merged *= a[:, None]
+            merged -= b[:, None] * row
+            big = np.abs(merged).max(axis=1)
+            most = float(big.max())
             # dividing out the contents costs more than the merge, so it
             # waits until the entries grow
-            big = float(np.abs(merged).max())
-            if big >= _CONTENT_LIMIT:
+            if most >= _CONTENT_LIMIT:
                 _divide_content(merged)
-                big = float(np.abs(merged).max())
+                big = np.abs(merged).max(axis=1)
+                most = float(big.max())
             work[hit] = merged
-            live[hit] = merged.any(axis=1)
-            top = max(top, big)
+            tops[hit] = big
+            top = max(top, most)
         picked.append(i)
         columns.append(j)
         i += 1
-    return picked, columns, settled
 
 
 def _divide_content(block: np.ndarray) -> np.ndarray:
@@ -387,65 +394,68 @@ def _divide_content(block: np.ndarray) -> np.ndarray:
 class _DenseRows:
     """The rows of one grown class as int64, reduced against all of them at once.
 
-    rows[:count] holds the primitive rows in the order they arrived, and
-    pivots[i] is row i's pivot column.  With lcm the least common
-    multiple of the pivot values p_i and scales[i] = lcm // p_i,
+    rows holds the primitive rows, and pivots[i] is row i's pivot column.
+    With lcm the least common multiple of the pivot values p_i and
+    scales[i] = lcm // p_i,
 
         lcm * V - (V[:, pivots] * scales) @ rows
 
     is, row by row, a positive multiple of what the sequential reduction
     leaves of a block V: the rows are zero at each other's pivots, so
-    row i clears pivot column i and no other.  insert_block eliminates
-    those residues among themselves in block order (_eliminate), which
-    picks exactly the vectors a one-at-a-time insertion would accept, and
-    merges the picked rows: the older rows nonzero at a new pivot column
-    take them out in one more product of the same form.
+    row i clears pivot column i and no other.  insert_block stacks those
+    residues under the rows and eliminates them in block order
+    (_eliminate), which picks exactly the vectors a one-at-a-time
+    insertion would accept and clears each new pivot column from the
+    older rows as well.  A stored row with pivot j is nonzero at a new
+    pivot column j' only when j' > j, and the row it takes out is zero
+    before j', so it keeps its pivot and the sign of its pivot value.
 
-    row_max holds each row's largest |entry|, and every operation is
-    bounded below 2**62 before any row changes: a reduction checks the
-    gain times the block's largest |entry|, the elimination checks each
-    of its merges, and adding new rows checks their own gain times the
-    older rows' largest entry, the new lcm and the new gain.  An
-    elimination that would pass the bound stops early: the rows it
-    settled are added, and the rest of the block starts again from its
-    vectors, reduced against every row.  Any other bound that fails
-    raises OverflowError with the rows untouched, and ResidueBasis runs
-    the next vector on its Python-int lists instead.
+    Every operation is bounded below 2**62 before any row changes: a
+    reduction checks the gain times the block's largest |entry|, the
+    elimination checks each of its merges, and _commit checks the new
+    lcm and the new gain.  An elimination that would pass the bound
+    stops early: the rows it settled are added, and the rest of the
+    block starts again from its vectors, reduced against every row.  A
+    bound that fails before anything is settled raises OverflowError
+    with the rows untouched, and ResidueBasis runs the next vector on
+    its Python-int lists instead.
     """
 
-    def __init__(self, listed: list[tuple[int, list[int]]], width: int):
-        pivot_values = [row[pivot] for pivot, row in listed]
-        multiple = lcm(*pivot_values)
-        top = max(max(max(row), -min(row)) for _, row in listed)
-        if max(multiple, top) >= _INT64_SAFE:
+    def __init__(self, listed: list[tuple[int, list[int]]]):
+        if max(max(max(row), -min(row)) for _, row in listed) >= _INT64_SAFE:
             raise OverflowError("rows past the int64 bound")
-        count = len(listed)
-        self.count = count
-        # room to double, but never past the width, which bounds the rank
-        capacity = min(2 * count, width)
-        self.rows = np.zeros((capacity, width), dtype=np.int64)
-        self.rows[:count] = [row for _, row in listed]
-        self.pivots = np.zeros(capacity, dtype=np.int64)
-        self.pivots[:count] = [pivot for pivot, _ in listed]
-        self.row_max = np.zeros(capacity)
-        self.row_max[:count] = np.abs(self.rows[:count]).max(axis=1)
-        self.lcm = multiple
-        self.scales, self.gain = _scales_and_gain(multiple, pivot_values, self.row_max[:count])
-        # past this gain every reduction would fail its bound, so the
-        # class stays on its lists
-        if self.gain >= _INT64_SAFE:
-            raise OverflowError("reduction gain past the int64 bound")
+        rows = np.array([row for _, row in listed], dtype=np.int64)
+        self._commit(rows, [pivot for pivot, _ in listed])
 
     def __len__(self) -> int:
-        return self.count
+        return len(self.rows)
+
+    def _commit(self, rows: np.ndarray, pivots: list[int]) -> None:
+        """Replace the rows, once their pivots' lcm and their reduction gain fit the bound.
+
+        The gain is lcm + sum(scales * max|row_i|): for a vector with
+        entries at most top in absolute value, every partial sum of a
+        reduction stays below top * gain.
+        """
+        pivot_values = rows[np.arange(len(pivots)), pivots].tolist()
+        multiple = lcm(*pivot_values)
+        if multiple >= _INT64_SAFE:
+            raise OverflowError("pivot lcm past the int64 bound")
+        scales = np.array([multiple // p for p in pivot_values], dtype=np.int64)
+        gain = multiple + float(scales @ np.abs(rows).max(axis=1).astype(np.float64))
+        # past this gain every reduction would fail its bound, so the
+        # class stays on its lists
+        if gain >= _INT64_SAFE:
+            raise OverflowError("reduction gain past the int64 bound")
+        self.rows, self.pivots = rows, np.array(pivots)
+        self.lcm, self.scales, self.gain = multiple, scales, gain
 
     def reduce(self, block: np.ndarray) -> np.ndarray:
         """A positive multiple of each row of the block reduced against every row."""
         # compared as a quotient, so that no entry is ever made a float
         if np.abs(block).max() >= _INT64_SAFE / self.gain:
             raise OverflowError("reduction past the int64 bound")
-        n = self.count
-        return self.lcm * block - (block[:, self.pivots[:n]] * self.scales) @ self.rows[:n]
+        return self.lcm * block - (block[:, self.pivots] * self.scales) @ self.rows
 
     def insert_block(self, block: np.ndarray) -> list[bool]:
         """Store, in order, each row of the block that enlarges the span.
@@ -456,75 +466,30 @@ class _DenseRows:
         """
         accepted: list[bool] = []
         while len(accepted) < len(block):
+            n = len(self.rows)
             try:
-                work = self.reduce(block[len(accepted):])
-                picked, columns, settled = _eliminate(work)
-                new = work[picked]
-                _divide_content(new)
-                self._merge(new, columns)
+                stack = np.concatenate([self.rows, self.reduce(block[len(accepted):])])
+                picked, columns, settled = _eliminate(stack, n)
+                if picked:
+                    # the stored rows that took a new row out, and the new rows
+                    changed = self.rows[:, columns].any(axis=1).nonzero()[0].tolist() + picked
+                    merged = stack[changed]
+                    _divide_content(merged)
+                    stack[changed] = merged
+                    self._commit(stack[list(range(n)) + picked], self.pivots.tolist() + columns)
             except OverflowError:
                 if accepted:
                     return accepted
                 raise
             settled_rows = [False] * settled
             for i in picked:
-                settled_rows[i] = True
+                settled_rows[i - n] = True
             accepted += settled_rows
         return accepted
 
-    def _merge(self, new: np.ndarray, columns: list[int]) -> None:
-        """Add primitive rows that are zero at every pivot column but their own."""
-        if not columns:
-            return
-        new_pivots = np.array(columns)
-        new_values = new[np.arange(len(columns)), new_pivots]
-        new_max = np.abs(new).max(axis=1).astype(np.float64)
-        n = self.count
-        rows, pivots = self.rows[:n], self.pivots[:n]
-        row_max = self.row_max[:n].copy()
-        pivot_values = rows[np.arange(n), pivots]
-        # older rows nonzero at a new pivot column take the new rows out,
-        # in one product as in reduce; their pivots stay positive, as the
-        # new rows are zero at the older pivots
-        c = rows[:, new_pivots]
-        hit = c.any(axis=1).nonzero()[0]
-        if hit.size:
-            multiple = lcm(*new_values.tolist())
-            if multiple >= _INT64_SAFE:
-                raise OverflowError("merge past the int64 bound")
-            scales, gain = _scales_and_gain(multiple, new_values.tolist(), new_max)
-            if row_max[hit].max() * gain >= _INT64_SAFE:
-                raise OverflowError("merge past the int64 bound")
-            merged = multiple * rows[hit] - (c[hit] * scales) @ new
-            _divide_content(merged)
-            pivot_values[hit] = merged[np.arange(hit.size), pivots[hit]]
-            row_max[hit] = np.abs(merged).max(axis=1)
-        pivot_values = pivot_values.tolist() + new_values.tolist()
-        multiple = lcm(*pivot_values)
-        if multiple >= _INT64_SAFE:
-            raise OverflowError("pivot lcm past the int64 bound")
-        row_max = np.concatenate([row_max, new_max])
-        scales, gain = _scales_and_gain(multiple, pivot_values, row_max)
-        if gain >= _INT64_SAFE:
-            raise OverflowError("reduction gain past the int64 bound")
-        total = n + len(columns)
-        if total > len(self.pivots):
-            extra = min(max(total, 2 * len(self.pivots)), self.rows.shape[1]) - len(self.pivots)
-            self.rows = np.concatenate([self.rows, np.zeros((extra, self.rows.shape[1]), np.int64)])
-            self.pivots = np.concatenate([self.pivots, np.zeros(extra, np.int64)])
-            self.row_max = np.concatenate([self.row_max, np.zeros(extra)])
-        if hit.size:
-            self.rows[hit] = merged
-        self.rows[n:total] = new
-        self.pivots[n:total] = new_pivots
-        self.row_max[:total] = row_max
-        self.count = total
-        self.lcm, self.scales, self.gain = multiple, scales, gain
-
     def listed(self) -> list[tuple[int, list[int]]]:
         """The (pivot, row) pairs in pivot order, as Python ints."""
-        n = self.count
-        order = np.argsort(self.pivots[:n])
+        order = np.argsort(self.pivots)
         return [(int(self.pivots[i]), self.rows[i].tolist()) for i in order]
 
 

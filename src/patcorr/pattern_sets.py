@@ -196,7 +196,10 @@ def remove_leading_zeros(pattern_set: PatternSet) -> PatternSet:
     For an n of l digits, the ratios of a leading-zero-free set at n and
     at n mod base**(l - 1) differ by exactly the member spelling n, if
     any.  So the expansion of n is a member when the two values differ.
+    A set without leading zeros is its own form.
     """
+    if all(w.digits[0] for w in pattern_set.words):
+        return pattern_set
     base = pattern_set.base
     ratio = periodic_factor(pattern_set).values
     words = []

@@ -263,10 +263,10 @@ class TestResidueBasis:
             assert bool(moved) == (spike > 0)
 
     def test_class_returns_to_int64_after_transient_overflow(self, monkeypatch):
-        # in this base-4 family some merges that clear a new pivot column
-        # pass the int64 bound: the group moves to Python ints for that
-        # row, comes back to the array with it, and ends with the rows of
-        # the rational reduced echelon form
+        # in this base-4 family some eliminations fail an int64 bound
+        # before they settle a vector: the group moves to Python ints
+        # for that vector, comes back to the array after it, and ends
+        # with the rows of the rational reduced echelon form
         moved = _count_moves_to_lists(monkeypatch)
         made = []
         tested = []
@@ -323,6 +323,31 @@ class TestResidueBasis:
         vec = (1 << 32,) + (0,) * (width - 1)
         assert not basis.contains(0, vec)
         assert basis.insert(0, vec)
+        # here the first vector of a block reduces within the bound, but
+        # its pivot column meets a stored row near 2**41, and clearing it
+        # there would pass 2**62: the array raises before any row
+        # changes, and the lists take the vector
+        rows = [tuple(int(j == i) for j in range(width)) for i in range(DENSE_ROWS)]
+        rows[-1] = rows[-1][:DENSE_ROWS] + (1 << 41, 0, 0, 0)
+        block = [
+            (0,) * DENSE_ROWS + ((1 << 20) + 1, 1 << 20, 0, 0),
+            (0,) * (width - 1) + (1,),
+            (1, 1) + (0,) * (width - 2),
+        ]
+        blocked, single = ResidueBasis(1, width), ResidueBasis(1, width)
+        for row in rows:
+            assert blocked.insert(0, row) and single.insert(0, row)
+        dense = blocked._rows[0]
+        assert isinstance(dense, decider._DenseRows)
+        before = dense.rows.copy(), dense.pivots.copy(), dense.lcm, dense.gain
+        with pytest.raises(OverflowError):
+            dense.insert_block(np.array(block[:1], dtype=np.int64))
+        assert np.array_equal(dense.rows, before[0])
+        assert np.array_equal(dense.pivots, before[1])
+        assert (dense.lcm, dense.gain) == before[2:]
+        grew = blocked.insert_block(0, np.array(block, dtype=np.int64))
+        assert grew == [single.insert(0, v) for v in block] == [True, True, False]
+        assert blocked.stored_rows(0) == single.stored_rows(0) == _canonical_rows(rows + block)
 
     def test_pivot_lcm_past_int64_stays_exact(self, monkeypatch):
         # small rows whose pivots are distinct primes: their least common

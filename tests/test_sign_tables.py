@@ -184,6 +184,30 @@ class TestStructureAgainstCounts:
         assert is_self_invariant(invariant)
 
 
+@pytest.mark.parametrize("base", [2, 3, 4])
+def test_remove_leading_zeros_with_and_without_leading_zeros(base):
+    # a set whose words all begin with a nonzero digit is its own form
+    # and comes back as it is; the others are read off the ratio
+    rng = random.Random(base)
+    kinds = set()
+    for i in range(80):
+        clean = i % 2 == 0
+        words = set()
+        for _ in range(rng.randint(1, 6)):
+            digits = [rng.randrange(base) for _ in range(rng.randint(1, 4))]
+            if clean or not any(digits):
+                digits[0] = rng.randrange(1, base)
+            words.add(Word(base, tuple(digits)))
+        a = PatternSet(base, tuple(words))
+        has_zero = any(w.digits[0] == 0 for w in a.words)
+        kinds.add(has_zero)
+        reduced = remove_leading_zeros(a)
+        assert reduced == _toggled_remove_leading_zeros(a), str(a)
+        if not has_zero:
+            assert reduced is a
+    assert kinds == {False, True}
+
+
 def _factors(base, period):
     """Every factor of the given period that starts at +1."""
     for signs in range(1 << (period - 1)):
