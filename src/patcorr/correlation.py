@@ -20,7 +20,12 @@ D * base**e for some e.  A table builds shift m from the shifts
 m floordiv base and m floordiv base + 1, one digit level at a time from
 the bottom: no value recurses, and the Fraction returned is the only one
 made.  It keeps the numerator vector of each shift asked for, and drops
-the levels in between once the level above them is built.
+the levels in between once the level above them is built.  A level's
+shifts are at most two consecutive ones, sharing at most two children,
+so each child is summed over its base blocks once per level.  The sign
+h(r) h(r + m) depends on m only mod base**level, so the table keeps, for
+each such residue met, the classes whose sign is -1, and negates just
+those entries.
 """
 
 from __future__ import annotations
@@ -28,6 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
+from operator import add, ne
 from typing import Union
 
 from .pattern_sets import PatternSet, PeriodicFactor, periodic_factor, _operating_level
@@ -55,7 +62,11 @@ class CorrelationTable:
     shift alone: the entry (e, V) of a shift gives the restricted value
     on class r as V[r] / (denominator * base**e).  V is a tuple of ints, which the
     garbage collector stops tracking, so a large memo adds nothing to
-    its collections.
+    its collections.  The flip positions of each shift mod base**level,
+    the classes r with h(r) != h(r + shift), are kept the same way, so
+    there are at most base**level of them.  Neither cache enters
+    equality or repr: two tables of one set compare equal whatever each
+    has been asked.
     """
 
     base: int
@@ -64,6 +75,9 @@ class CorrelationTable:
     numerators: tuple[int, ...]
     denominator: int
     _memo: dict[int, tuple[int, tuple[int, ...]]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+    _flips: dict[int, tuple[int, ...]] = field(
         default_factory=dict, repr=False, compare=False
     )
 
@@ -105,12 +119,14 @@ class CorrelationTable:
 
         One digit down, shift m needs m floordiv base, and also the next
         shift when a carry can occur, that is when m has a nonzero least
-        digit.  So each digit level needs at most two shifts, all below
-        m once m >= 2.  Levels are collected down to the first one whose
-        shifts the memo holds, then built upwards, each from the one
-        below it.  Only the asked shift enters the memo: an ascending
-        sweep finds every shift's children there, and a deep shift holds
-        two levels at a time instead of all of them.
+        digit.  So each digit level needs at most two consecutive shifts,
+        all below m once m >= 2, and these share at most two children.
+        Levels are collected down to the first one whose shifts the memo
+        holds, then built upwards, each from the one below it; each level
+        folds every child once, into a dict dropped when the level is
+        built.  Only the asked shift enters the memo: an ascending sweep
+        finds every shift's children there, and a deep shift holds two
+        levels at a time instead of all of them.
         """
         memo = self._memo
         found = memo.get(shift)
@@ -132,42 +148,67 @@ class CorrelationTable:
             levels.append(below)
         built: dict[int, tuple[int, tuple[int, ...]]] = {}
         for level in reversed(levels):
-            built = {m: self._step(m, built) for m in level}
+            folds: dict[int, tuple[int, list[int]]] = {}
+            built = {m: self._step(m, built, folds) for m in level}
         memo[shift] = built[shift]
         return built[shift]
 
     def _step(
-        self, shift: int, built: dict[int, tuple[int, tuple[int, ...]]]
+        self,
+        shift: int,
+        built: dict[int, tuple[int, tuple[int, ...]]],
+        folds: dict[int, tuple[int, list[int]]],
     ) -> tuple[int, tuple[int, ...]]:
         """The entry of one shift >= 2 from the entries one digit down.
 
         Class r = base * head + d sits over the classes stride * j + head,
         taken at shift m floordiv base, or at the next shift when
         d + (m mod base) reaches the base.  Its value is the sign
-        h(r) h(r + m) times the sum of theirs, divided by the base; the
-        two children's sums are first brought to one power of the base.
-        The children are read from built, the level just below, or else
-        from the memo.
+        h(r) h(r + m) times the sum of theirs, divided by the base.  The
+        sum over j is the child's fold, made once per level in folds
+        from built, the level just below, or else from the memo; when
+        the two children carry different powers of the base, the lower
+        one is scaled up.  The signs are read as the flip positions of
+        m mod base**level, and only those entries are negated.
         """
         base = self.base
         modulus = self.modulus
         stride = modulus // base
         reduced, digit = divmod(shift, base)
         wanted = (reduced, reduced + 1) if digit else (reduced,)
-        children = [built[m] if m in built else self._memo[m] for m in wanted]
+        children = []
+        for m in wanted:
+            fold = folds.get(m)
+            if fold is None:
+                ce, values = built[m] if m in built else self._memo[m]
+                if base == 2:
+                    fold = ce, list(map(add, values[:stride], values[stride:]))
+                else:
+                    chunks = [values[j * stride : (j + 1) * stride] for j in range(base)]
+                    fold = ce, list(map(sum, zip(*chunks)))
+                folds[m] = fold
+            children.append(fold)
         e = max(ce for ce, _ in children)
-        sums = []
-        for ce, values in children:
-            chunks = [values[j * stride : (j + 1) * stride] for j in range(base)]
-            scale = base ** (e - ce)
-            sums.append([scale * total for total in map(sum, zip(*chunks))])
+        sums = [
+            totals if ce == e else [base ** (e - ce) * t for t in totals]
+            for ce, totals in children
+        ]
         gathered = [0] * modulus
         for d in range(base):
             gathered[d::base] = sums[d >= base - digit]
-        hv = self.factor.values
-        s = shift % modulus
-        rotated = hv[s:] + hv[:s]
-        return e + 1, tuple([x if a == b else -x for x, a, b in zip(gathered, hv, rotated)])
+        for r in self._flip_positions(shift % modulus):
+            gathered[r] = -gathered[r]
+        return e + 1, tuple(gathered)
+
+    def _flip_positions(self, s: int) -> tuple[int, ...]:
+        """The classes r with h(r) != h((r + s) mod base**level), cached by s."""
+        found = self._flips.get(s)
+        if found is None:
+            hv = self.factor.values
+            rotated = hv[s:] + hv[:s]
+            found = tuple(compress(range(self.modulus), map(ne, hv, rotated)))
+            self._flips[s] = found
+        return found
 
 
 def bootstrap(pattern_set: PatternSet, level: Union[int, None] = None) -> CorrelationTable:

@@ -230,6 +230,30 @@ class TestAgainstFractionRecursion:
                 assert [table.restricted(r, m) for r in range(K)] == expected, m
                 assert table.correlation(m) == sum(expected) / K, m
 
+    @pytest.mark.parametrize("base", [2, 3, 4])
+    def test_deep_shifts_first_on_a_wider_level(self, base):
+        # deep shifts fill the fold and flip caches before any small
+        # shift is asked, restricted and correlation calls share one
+        # table, and the level lies above the set's length; the shifts
+        # cover every residue mod K, 0 and K - 1 among them
+        rng = random.Random(700 + base)
+        for length in (1, 2):
+            pattern_set = _random_set(rng, base, length)
+            table = bootstrap(pattern_set, length + 1)
+            K = table.modulus
+            assert K == base ** (length + 1)
+            reference = _FractionRecursion(table)
+            deep = [K * rng.randrange(base**40, base**41) + r for r in (0, K - 1, 1, K // 2)]
+            shifts = deep + list(range(2 * K + 3)) + [m + 1 for m in deep]
+            for i, m in enumerate(shifts):
+                expected = [reference.restricted(r, m) for r in range(K)]
+                if i % 2:
+                    assert table.correlation(m) == sum(expected) / K, m
+                    assert [table.restricted(r, m) for r in range(K)] == expected, m
+                else:
+                    assert table.restricted(K - 1 - i % K, m) == expected[K - 1 - i % K], m
+                    assert table.correlation(m) == sum(expected) / K, m
+
 
 class TestDeepShifts:
     # far past the depth at which a recursion over digits would exhaust
@@ -272,3 +296,24 @@ class TestDeepShifts:
         table.restricted(5, 2**500 + 3)
         assert set(table._memo) == {0, 1, 2**500 + 3, *asked}
         assert all(type(values) is tuple for _, values in table._memo.values())
+        # the flip positions are cached per shift mod K, so at most K of
+        # them, whatever the shifts asked
+        K = table.modulus
+        assert 0 < len(table._flips) <= K
+        assert set(table._flips) <= set(range(K))
+        assert all(type(flips) is tuple for flips in table._flips.values())
+        hv = table.factor.values
+        for s, flips in table._flips.items():
+            assert flips == tuple(r for r in range(K) if hv[r] != hv[(r + s) % K])
+
+    def test_query_history_does_not_enter_equality(self):
+        # the memo and the flip cache are caches, so two tables of one set
+        # compare equal whatever each has been asked
+        pattern_set = ps("1001,1011,1101,1111")
+        fresh, used = bootstrap(pattern_set), bootstrap(pattern_set)
+        for m in (2**300 + 7, 5, 3**200):
+            used.correlation(m)
+        used.restricted(3, 2**100 + 1)
+        assert used._flips and not fresh._flips
+        assert used == fresh
+        assert repr(used) == repr(fresh)
