@@ -43,8 +43,8 @@ MAX_CANDIDATES = 1 << 16
 # Largest --max-shift sweep, largest bit length of one --shift, and
 # largest prefix samples + shift that estimate reads.  At the largest
 # modulus, on a 2-vCPU machine with process start-up included: the sweep
-# takes 1.0-1.4 s and peaks at 150-177 MB, as the memo keeps every shift
-# it asks for; a 2048-bit shift takes 0.41-0.47 s and 31 MB, and the
+# takes 0.9-1.4 s and peaks at 150-177 MB, as the memo keeps every shift
+# it asks for; a 2048-bit shift takes 0.35-0.50 s and 31 MB, and the
 # estimate 0.36 s and 46 MB.
 MAX_SWEEP = 1 << 14
 MAX_SHIFT_BITS = 2048

@@ -64,9 +64,9 @@ class CorrelationTable:
     garbage collector stops tracking, so a large memo adds nothing to
     its collections.  The flip positions of each shift mod base**level,
     the classes r with h(r) != h(r + shift), are kept the same way, so
-    there are at most base**level of them.  Neither cache enters
-    equality or repr: two tables of one set compare equal whatever each
-    has been asked.
+    there are at most base**level of them.  Neither cache is a
+    constructor argument or enters equality or repr: two tables of one
+    set compare equal whatever each has been asked.
     """
 
     base: int
@@ -75,10 +75,10 @@ class CorrelationTable:
     numerators: tuple[int, ...]
     denominator: int
     _memo: dict[int, tuple[int, tuple[int, ...]]] = field(
-        default_factory=dict, repr=False, compare=False
+        default_factory=dict, init=False, repr=False, compare=False
     )
     _flips: dict[int, tuple[int, ...]] = field(
-        default_factory=dict, repr=False, compare=False
+        default_factory=dict, init=False, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
@@ -165,11 +165,12 @@ class CorrelationTable:
         taken at shift m floordiv base, or at the next shift when
         d + (m mod base) reaches the base.  Its value is the sign
         h(r) h(r + m) times the sum of theirs, divided by the base.  The
-        sum over j is the child's fold, made once per level in folds
-        from built, the level just below, or else from the memo; when
-        the two children carry different powers of the base, the lower
-        one is scaled up.  The signs are read as the flip positions of
-        m mod base**level, and only those entries are negated.
+        sum over j is the child's fold, its base blocks added entrywise,
+        made once per level in folds from built, the level just below,
+        or else from the memo; when the two children carry different
+        powers of the base, the lower one is scaled up.  The signs are
+        read as the flip positions of m mod base**level, and only those
+        entries are negated.
         """
         base = self.base
         modulus = self.modulus
@@ -181,12 +182,10 @@ class CorrelationTable:
             fold = folds.get(m)
             if fold is None:
                 ce, values = built[m] if m in built else self._memo[m]
-                if base == 2:
-                    fold = ce, list(map(add, values[:stride], values[stride:]))
-                else:
-                    chunks = [values[j * stride : (j + 1) * stride] for j in range(base)]
-                    fold = ce, list(map(sum, zip(*chunks)))
-                folds[m] = fold
+                totals = values[:stride]
+                for j in range(1, base):
+                    totals = list(map(add, totals, values[j * stride : (j + 1) * stride]))
+                fold = folds[m] = ce, totals
             children.append(fold)
         e = max(ce for ce, _ in children)
         sums = [

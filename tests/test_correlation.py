@@ -317,3 +317,17 @@ class TestDeepShifts:
         assert used._flips and not fresh._flips
         assert used == fresh
         assert repr(used) == repr(fresh)
+
+    def test_caches_are_not_constructor_arguments(self):
+        # a prefilled memo or flip cache would give wrong values, so
+        # neither can be passed in; a table built from its fields starts
+        # with the shifts 0 and 1 only
+        table = bootstrap(ps("1001,1011,1101,1111"))
+        args = (table.base, table.level, table.factor, table.numerators, table.denominator)
+        for cache in ("_memo", "_flips"):
+            with pytest.raises(TypeError):
+                CorrelationTable(*args, **{cache: {}})
+        rebuilt = CorrelationTable(*args)
+        assert set(rebuilt._memo) == {0, 1} and not rebuilt._flips
+        assert rebuilt == table
+        assert rebuilt.correlation(2**80 + 5) == table.correlation(2**80 + 5)
