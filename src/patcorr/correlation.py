@@ -6,9 +6,10 @@ one-step recursion along the digit kernel of the sequence: splitting
 off the least significant digit maps the class r at shift m to the
 classes feeding r at shift m floordiv base, possibly bumped by a carry.
 Shift 1 values form a triangular system once classes are ordered by the
-number of trailing (base - 1) digits in the class index, closed by a
-single fixed point at the all-(base - 1) class.  The full correlation
-at shift m is the plain average of the class-restricted values.
+number of trailing (base - 1) digits in the class index, solved one
+such count at a time and closed by a single fixed point at the
+all-(base - 1) class.  The full correlation at shift m is the plain
+average of the class-restricted values.
 
 All restricted values carry the conventional scaling by base**level, so
 the restricted value at shift 0 is exactly 1 on every class.
@@ -34,21 +35,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress
-from operator import add, ne
+from operator import add, mul, ne
 from typing import Union
 
 from .pattern_sets import PatternSet, PeriodicFactor, periodic_factor, _operating_level
 
 ONE = Fraction(1)
-
-
-def _trailing_top_digits(index: int, base: int, level: int) -> int:
-    """How many trailing digits of the class index equal base - 1."""
-    for j in range(level):
-        if index % base != base - 1:
-            return j
-        index //= base
-    return level
 
 
 @dataclass
@@ -213,13 +205,16 @@ class CorrelationTable:
 def bootstrap(pattern_set: PatternSet, level: Union[int, None] = None) -> CorrelationTable:
     """Solve for all shift-1 restricted correlations of one pattern set.
 
-    Classes whose index does not end in the top digit feed directly off
-    the sequence ratio; classes ending in j top digits average the j - 1
-    ones; the all-top-digits class wraps around the modulus and is
-    solved as a one-variable fixed point.  A class ending in j < level
-    top digits has a value with denominator base**j, so the solve runs
-    on numerators over base**(level - 1), and the fixed point, with sign
-    wrap, adds the factor base - wrap.
+    Class r takes the sign h(r) h(r + 1) times the average of the
+    classes stride * d + r floordiv base at shift 0, or at shift 1 when
+    r ends in the top digit base - 1.  So a class that does not end in
+    the top digit has its sign as its value, and a class ending in
+    exactly j top digits averages classes ending in exactly j - 1: the
+    solve runs one trailing-top-digit level at a time, from j = 1 up.
+    A class ending in j < level top digits has a value with denominator
+    base**j, so the solve runs on numerators over base**(level - 1).
+    The all-top-digits class wraps around the modulus and is solved as a
+    one-variable fixed point, whose sign wrap adds the factor base - wrap.
     """
     lvl = _operating_level(pattern_set, level)
     base = pattern_set.base
@@ -228,23 +223,21 @@ def bootstrap(pattern_set: PatternSet, level: Union[int, None] = None) -> Correl
     hv = h.values
     stride = modulus // base
     top = base ** (lvl - 1)
-    scaled = [top] * modulus
-    depths = [_trailing_top_digits(r, base, lvl) for r in range(modulus - 1)]
-    for r in sorted(range(modulus - 1), key=depths.__getitem__):
-        sign = hv[r] * hv[(r + 1) % modulus]
-        if depths[r] == 0:
-            scaled[r] = sign * top
-        else:
-            head = r // base
-            total = sum(scaled[stride * d + head] for d in range(base))
-            # exact: the children's values have denominators base**(j - 1)
-            scaled[r] = sign * (total // base)
+    signs = list(map(mul, hv, hv[1:] + hv[:1]))
+    scaled = [sign * top for sign in signs]
+    for j in range(1, lvl):
+        block = base**j
+        # the classes with digit d - 1 < base - 1 above j top digits
+        for d in range(1, base):
+            for r in range(d * block - 1, modulus, base * block):
+                # exact: the children's values have denominators base**(j - 1)
+                scaled[r] = signs[r] * (sum(scaled[r // base :: stride]) // base)
     # The all-top-digits class appears among its own children; its
     # remaining children all have one fewer trailing top digit and are
     # already solved, leaving a linear equation in one unknown.
-    wrap = hv[modulus - 1] * hv[0]
-    tail = sum(scaled[stride * (d + 1) - 1] for d in range(base - 1))
-    numerators = tuple(x * (base - wrap) for x in scaled[:-1]) + (wrap * tail,)
+    wrap = signs[-1]
+    tail = sum(scaled[stride - 1 : -1 : stride])
+    numerators = tuple([x * (base - wrap) for x in scaled[:-1]] + [wrap * tail])
     denominator = top * (base - wrap)
     return CorrelationTable(base, lvl, h, numerators, denominator)
 

@@ -24,7 +24,8 @@ in for 0), which all lie in one carry group t % stride.  Every class
 starts from the same seed, so the classes of a group receive the same
 vectors in the same order and hold the same span.  The closure
 therefore keeps one row space per group, K / base of them, and tests
-each child vector once for all base classes it reaches.
+each child vector once for all base classes it reaches.  The seed is
+primitive, so each group stores it as its first row with no span test.
 
 The child's blocks are each one sum of width stride repeated base
 times, and the seed's blocks are constant, so every vector of the
@@ -39,7 +40,8 @@ their first periods.
 The closure runs breadth first and takes one layer at a time.  The
 layer's vectors are the rows of one int64 block, and one step builds
 every child: a gather into the step layout, a product with each
-element's int8 signs, the carry fold by digit, and one gcd per row.
+element's int8 signs, read off the sequence ratio one chunk of elements
+at a time, the carry fold by digit, and one gcd per row.
 Only the children of classes below the base reach the class of 0.
 Their values there come first, and the first nonzero one in queue order
 stops the closure; only the children before it are span-tested, so the
@@ -81,7 +83,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .correlation import CorrelationTable, bootstrap
-from .pattern_sets import PatternSet, PeriodicFactor
+from .pattern_sets import PatternSet
 
 
 class InternalConsistencyError(RuntimeError):
@@ -210,6 +212,18 @@ class ResidueBasis:
             except OverflowError:
                 rows = self._to_lists(residue)
         return not any(self._reduce(rows, vector))
+
+    def seed(self, residues: Sequence[int], row: Sequence[int]) -> None:
+        """Store a primitive row, pivot positive, as the first row of each empty class given.
+
+        Each class then holds what inserting the row would store.
+        """
+        self._check_width([row])
+        pivot = next((j for j, x in enumerate(row) if x), None)
+        if pivot is None or row[pivot] < 0 or gcd(*row) != 1 or any(map(self.rows_in, residues)):
+            raise ValueError("a seed must be primitive with a positive pivot, its classes empty")
+        for residue in residues:
+            self._rows[residue] = [(pivot, list(row))]
 
     def insert(self, residue: int, vector: Sequence[int]) -> bool:
         """Reduce against the class rows; store if independent.
@@ -561,18 +575,6 @@ def _carries(base: int) -> np.ndarray:
     return np.stack([~carry, carry], axis=1).astype(np.int64)
 
 
-@lru_cache(maxsize=8)
-def _step_signs(factor: PeriodicFactor) -> np.ndarray:
-    """h(r) h(r + s + o) in the step layout for each s in [0, K), as int8.
-
-    Slice s serves the class q = s mod K; a sequence's slices take
-    2 K**2 bytes.
-    """
-    h = np.array(factor.values, dtype=np.int8)
-    _, classes, shifted = _step_index(factor.base, factor.period)
-    return h[classes] * h[shifted]
-
-
 def expand_element(
     residues: np.ndarray, vectors: np.ndarray, source: np.ndarray, table: CorrelationTable
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -584,20 +586,23 @@ def expand_element(
     was divided by, which multiplies the element's scale.  Entry r of
     offset block o, signed by h(r) h(r + q + o), goes to entry r
     floordiv base of the child's low or high half, by its carry (digit +
-    o + r % base) floordiv base.  Each child entry sums 2 * base entries
-    of the element, which bounds the int64 step; past the bound the step
-    runs on Python ints.  The elements go a bounded chunk at a time, so
-    the step's temporary arrays stay small.
+    o + r % base) floordiv base.  The signs are read off the sequence
+    ratio for each chunk, as int8.  Each child entry sums 2 * base
+    entries of the element, which bounds the int64 step; past the bound
+    the step runs on Python ints.  The elements go a bounded chunk at a
+    time, so the step's temporary arrays stay small.
     """
     base = table.base
     modulus = table.modulus
-    gather = _step_index(base, modulus)[0]
+    gather, classes, shifted = _step_index(base, modulus)
+    h = np.array(table.factor.values, dtype=np.int8)
+    own = h[classes]
     size = max(1, _STEP_ENTRIES // (2 * modulus))
     children = np.empty((len(residues), vectors.shape[1]), dtype=np.int64)
     for lo in range(0, len(residues), size):
         q = residues[lo : lo + size]
         block = _int64_if(vectors[source[lo : lo + size]], 2 * base)
-        signs = _step_signs(table.factor)[q % modulus]
+        signs = own * h[shifted[q % modulus]]
         chunk = _carries(base)[q % base] @ (block[:, gather] * signs)
         if chunk.dtype != children.dtype:
             children = children.astype(object)
@@ -633,9 +638,10 @@ def decide(pattern_set: PatternSet, level: Union[int, None] = None) -> Decision:
     stride = modulus // base
     seed = (1,) * stride + (0,) * stride
     # the classes t of a carry group t % stride hold the same rows, so
-    # one row space per group answers for all of them.  It is seeded
-    # before the first span test: a closure that stops on its first
-    # step tests nothing.
+    # one row space per group answers for all of them.  It is made
+    # before the first span test, with the seed, which is primitive, as
+    # every group's first row: a closure that stops on its first step
+    # tests nothing.
     basis = None
     # the layer in queue order: each element's class, its vector as a row
     # of vectors (the base elements of one child share it), and the
@@ -665,8 +671,7 @@ def decide(pattern_set: PatternSet, level: Union[int, None] = None) -> Decision:
         if end:
             if basis is None:
                 basis = ResidueBasis(stride, 2 * stride)
-                for group in range(stride):
-                    basis.insert(group, seed)
+                basis.seed(range(stride), seed)
             children, contents = expand_element(residues[:end], vectors, source[:end], table)
             accepted = _test_groups(basis, children, heads[:end] % stride)
             created += base * int(np.count_nonzero(accepted))
@@ -715,15 +720,16 @@ def _correlated_decision(
     base = table.base
     modulus = table.modulus
     shift = witness_from_provenance(provenance, base)
-    expected = modulus * table.correlation(shift)
-    if point_value != expected:
+    value = table.correlation(shift)
+    if point_value != modulus * value:
         raise InternalConsistencyError(
             f"form value {point_value} at shift {shift} disagrees with "
-            f"{modulus} times the exact correlation {table.correlation(shift)}"
+            f"{modulus} times the exact correlation {value}"
         )
-    cap = min(shift, modulus * modulus)
-    for m in range(1, cap + 1):
-        value = table.correlation(m)
-        if value != 0:
-            return Decision(False, m, value, created, expansions)
-    return Decision(False, shift, table.correlation(shift), created, expansions)
+    # the witness's own correlation is nonzero, so only smaller shifts
+    # can refine it
+    for m in range(1, min(shift - 1, modulus * modulus) + 1):
+        found = table.correlation(m)
+        if found != 0:
+            return Decision(False, m, found, created, expansions)
+    return Decision(False, shift, value, created, expansions)

@@ -5,7 +5,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from patcorr.classify import saturated_family_from_hadamard, sylvester_hadamard
+from patcorr.classify import (
+    random_hadamard_family,
+    random_saturated_superset,
+    saturated_family_from_hadamard,
+    sylvester_hadamard,
+)
 from patcorr.correlation import CorrelationTable, bootstrap, correlation, restricted_correlation
 from patcorr.oracle import saturated_closed_form
 from patcorr.pattern_sets import PatternSet, evaluate
@@ -179,6 +184,83 @@ def _random_set(rng, base, length):
         ]
         if any(len(w) == length for w in words):
             return PatternSet.of(base, words)
+
+
+def _depth_sorted_solve(table):
+    """Reference: the shift-1 numerators and denominator, classes sorted by trailing top digits.
+
+    Each class below the last, in order of its number of trailing
+    base - 1 digits, takes the sign h(r) h(r + 1) times top, or times
+    the average of its children's numerators, which are already solved;
+    the last class is the fixed point.
+    """
+    base, level, modulus = table.base, table.level, table.modulus
+    hv = table.factor.values
+
+    def depth(r):
+        for j in range(level):
+            if r % base != base - 1:
+                return j
+            r //= base
+        return level
+
+    stride = modulus // base
+    top = base ** (level - 1)
+    scaled = [top] * modulus
+    depths = [depth(r) for r in range(modulus - 1)]
+    for r in sorted(range(modulus - 1), key=depths.__getitem__):
+        sign = hv[r] * hv[(r + 1) % modulus]
+        if depths[r] == 0:
+            scaled[r] = sign * top
+        else:
+            total = sum(scaled[stride * d + r // base] for d in range(base))
+            scaled[r] = sign * (total // base)
+    wrap = hv[-1] * hv[0]
+    tail = sum(scaled[stride * (d + 1) - 1] for d in range(base - 1))
+    numerators = tuple(x * (base - wrap) for x in scaled[:-1]) + (wrap * tail,)
+    return numerators, top * (base - wrap)
+
+
+class TestLevelSolve:
+    # bootstrap solves one trailing-top-digit level at a time; every
+    # table must satisfy the one-step identity and equal the depth-sorted
+    # solve, on random, empty and saturated sets, with both signs of wrap
+    @pytest.mark.parametrize("base, top_level", [(2, 7), (3, 5), (4, 4)])
+    def test_matches_identity_and_depth_sorted_solve(self, base, top_level):
+        rng = random.Random(900 + base)
+        saturated_wraps = set()
+        for level in range(1, top_level + 1):
+            # an odd base has no saturated sets
+            saturated = [
+                random_saturated_superset(length, rng)
+                if base == 2
+                else random_hadamard_family(base, length, rng)
+                for length in (range(2, level + 1) if base != 3 else ())
+                for _ in range(2)
+            ]
+            sets = [PatternSet.parse("", base), _random_set(rng, base, level)]
+            sets += [_random_set(rng, base, rng.randint(1, level)) for _ in range(2)]
+            for pattern_set in sets + saturated:
+                table = bootstrap(pattern_set, level)
+                K = table.modulus
+                assert K == base**level
+                hv = table.factor.values
+                stride = K // base
+                for r in range(K):
+                    carry = (r % base + 1) // base
+                    children = sum(
+                        table.restricted(stride * d + r // base, carry) for d in range(base)
+                    )
+                    sign = hv[r] * hv[(r + 1) % K]
+                    assert table.restricted(r, 1) == F(sign, base) * children, (
+                        str(pattern_set),
+                        level,
+                        r,
+                    )
+                assert (table.numerators, table.denominator) == _depth_sorted_solve(table)
+                if pattern_set in saturated:
+                    saturated_wraps.add(hv[-1] * hv[0])
+        assert saturated_wraps == (set() if base == 3 else {1, -1})
 
 
 class _FractionRecursion:

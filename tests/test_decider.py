@@ -290,11 +290,13 @@ class TestResidueBasis:
         assert decision.noncorrelated
         (basis,) = made
         assert len(moved) > 1
-        # every child is tested once, whether its block or the lists take it
-        assert len(tested) == decision.expansions + 16
+        # every child is tested once, whether its block or the lists take it;
+        # the seed row is stored in each group without a test
+        assert len(tested) == decision.expansions
+        seed = (1,) * 16 + (0,) * 16
         for group in set(moved):
             assert isinstance(basis._rows[group], decider._DenseRows)
-            assert basis.stored_rows(group) == _canonical_rows(accepted[group])
+            assert basis.stored_rows(group) == _canonical_rows([seed] + accepted[group])
 
     def test_products_past_int64_stay_exact(self):
         # every entry fits int64, but reducing the last vector sums
@@ -408,6 +410,30 @@ class TestResidueBasis:
         assert basis.insert(0, last)
         assert moved == [0, 0]
         assert basis.stored_rows(0) == _canonical_rows(rows + [last])
+
+    def test_seed_stores_what_insert_would(self):
+        rng = random.Random(23)
+        seed = (1, 1, 1, 0, 0, 0)
+        seeded = ResidueBasis(3, 6)
+        seeded.seed(range(3), seed)
+        inserted = ResidueBasis(3, 6)
+        for t in range(3):
+            assert inserted.insert(t, seed)
+        assert seeded.rows_in(3) == 0
+        for _ in range(40):
+            t = rng.randrange(3)
+            v = tuple(rng.randint(-3, 3) for _ in range(6))
+            assert seeded.insert(t, v) == inserted.insert(t, v)
+        for t in range(4):
+            assert seeded.stored_rows(t) == inserted.stored_rows(t)
+        basis = ResidueBasis(2, 3)
+        for row in ((2, 0, 4), (-1, 1, 0), (0, 0, 0), (1, 0)):
+            with pytest.raises(ValueError):
+                basis.seed(range(2), row)
+        basis.insert(1, (0, 1, 0))
+        with pytest.raises(ValueError):
+            basis.seed(range(2), (1, 0, 0))
+        assert basis.total_rows == 1
 
     def test_zero_vector_always_contained(self):
         basis = ResidueBasis(2, 4)
@@ -845,13 +871,14 @@ class TestLargerClosures:
         assert decision.expansions == expansions
 
     @pytest.mark.parametrize(
-        "length, calls, accepted", [(4, 262, 127), (5, 1038, 511), (6, 4126, 2047)]
+        "length, calls, accepted", [(4, 254, 119), (5, 1022, 495), (6, 4094, 2015)]
     )
     def test_span_tests_per_decision(self, length, calls, accepted, monkeypatch):
-        # one span test per seed group and per expansion, and one
-        # accepted row per base children.  decide tests each layer's
-        # children in one block per group, and a seed is a block of one,
-        # so these count block rows.
+        # one span test per expansion, and one accepted row per base
+        # children past the K seeded elements; the seeds are stored
+        # without a test.  decide tests
+        # each layer's children in one block per group, so these count
+        # block rows.
         results = []
         insert_block = ResidueBasis.insert_block
 
@@ -862,8 +889,8 @@ class TestLargerClosures:
         monkeypatch.setattr(ResidueBasis, "insert_block", counted_block)
         decision = decide(saturated_family_from_hadamard(sylvester_hadamard(2), length))
         assert decision.noncorrelated
-        assert len(results) == calls == decision.expansions + 2 ** (length - 1)
-        assert sum(results) == accepted == decision.elements_created // 2
+        assert len(results) == calls == decision.expansions
+        assert sum(results) == accepted == (decision.elements_created - 2**length) // 2
 
     def test_base_four_hadamard_family_records(self):
         matrix = sylvester_hadamard(4)
@@ -904,6 +931,31 @@ class TestCapacity:
         monkeypatch.setattr(ResidueBasis, "total_rows", property(lambda basis: 1))
         with pytest.raises(InternalConsistencyError):
             decide(ps("11"))
+
+
+class TestWitnessCrossCheck:
+    @pytest.mark.parametrize(
+        "text, shift, expansions",
+        [
+            # witness on the first step
+            ("1", 1, 1),
+            # a length-4 set whose witness comes in the second layer
+            ("0010,0101,1001,1011", 2, 19),
+        ],
+    )
+    def test_wrong_correlation_is_caught(self, text, shift, expansions, monkeypatch):
+        # the form value at 0 must equal K times the correlation the
+        # table computes; a table that doubles it fails the check
+        decision = decide(ps(text))
+        assert (decision.witness_shift, decision.expansions) == (shift, expansions)
+        correlation = decider.CorrelationTable.correlation
+
+        def doubled(table, m):
+            return 2 * correlation(table, m)
+
+        monkeypatch.setattr(decider.CorrelationTable, "correlation", doubled)
+        with pytest.raises(InternalConsistencyError):
+            decide(ps(text))
 
 
 def _decide_per_class(pattern_set):
