@@ -46,8 +46,9 @@ Only the children of classes below the base reach the class of 0.
 Their values there come first, and the first nonzero one in queue order
 stops the closure; only the children before it are span-tested, so the
 counters are those of a closure that takes one element at a time.  The
-children bound for one group are then tested as one block, in layer
-order, and the accepted ones, in layer order, make the next layer.
+layer's children are then span-tested in one call, each against its
+group in layer order, and the accepted ones, in layer order, make the
+next layer.
 
 Exact arithmetic throughout: vectors hold integers, and an element's
 scale is an integer numerator over base**(digits consumed), while the
@@ -57,18 +58,16 @@ denominator, so a Fraction is made only for a nonzero value, that is
 for a witness.
 
 The span tests are the bulk of a noncorrelated decision, whose groups
-fill up to 2K / base rows.  A group therefore keeps its first DENSE_ROWS
-rows as lists of Python ints, which is all a correlated decision usually
-needs, and takes a block one vector at a time there.  Then it moves to
-an int64 array, which reduces the whole block against every row in one
-matrix product and runs one ordered elimination over the stored rows
-and what is left of the block: each accepted row's pivot column is
-cleared from every other row, the stored ones included.  Every array
-operation is bounded before it changes a row; when a bound fails, the
-group goes back to its lists for the next vector and returns to the
-array after a later accepted row, once its entries fit again.  A step's
-product is bounded too and runs on Python ints when the bound fails, so
-the stored rows and every answer are the same as with lists alone.
+fill up to 2K / base rows.  Each layer is tested in one call, which
+takes the groups in chunks of bounded size and settles one new pivot in
+every group of a chunk at each step, so the number of passes is the
+largest number of new rows in one group, not their sum.  A group keeps
+its rows in canonical reduced echelon form but stores and computes only
+on its free columns, those that are no row's pivot, so a full group
+costs nothing.  Every int64 operation is bounded first; a group whose
+bound fails runs the same steps again on Python ints, from its rows as
+they were, and a step's product runs on Python ints past its bound too,
+so the stored rows and every answer are exact.
 """
 
 from __future__ import annotations
@@ -76,7 +75,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, log2
 from operator import mul
 from typing import Optional, Sequence, Union
 
@@ -126,6 +125,21 @@ class Decision:
 # A block of vectors: a 2-D array, or a sequence of integer sequences.
 Vectors = Union[np.ndarray, Sequence[Sequence[int]]]
 
+# Every int64 operation of the span tests and of a closure step is first
+# bounded below this in absolute value; int64 itself ends at 2**63.
+_INT64_SAFE = float(1 << 62)
+# a span test divides out the row contents once an entry may reach this,
+# and bounds each merge apart once one may reach _SMALL: below it, no
+# merge of two rows can pass _INT64_SAFE
+_CONTENT_LIMIT = float(1 << 20)
+_SMALL = float(1 << 30)
+# a closure step takes at most this many entries of its (rows, 2 * base,
+# stride) layout at once, which bounds its temporary arrays
+_STEP_ENTRIES = 1 << 12
+# a span test takes its classes in chunks of at most about this many
+# entries of their (classes, rows, 1 + free columns) layout
+_SPAN_ENTRIES = 1 << 15
+
 
 class ResidueBasis:
     """Per-class integer row spaces kept in reduced echelon form.
@@ -136,20 +150,21 @@ class ResidueBasis:
     column, so membership in the span is a single reduction pass and the
     stored shape is canonical.
 
-    insert_block tests a block of vectors against one class in order and
-    stores each one that enlarges the span: a vector is accepted exactly
-    when it lies outside the span of the class rows and of the block's
-    earlier vectors, as if they were inserted one at a time.  A class
-    keeps its rows as (pivot, row) pairs of Python ints in pivot order
-    and takes a block one vector at a time.  Once it holds DENSE_ROWS
-    rows and every entry, the pivots' lcm and the reduction gain fit the
-    int64 bound, it moves to a _DenseRows array, which takes the rest of
-    a block in one elimination, or in several where a bound stops one
-    early.  An array operation that fails its bound before it settles a
-    vector moves the class back to the lists, which take that vector;
-    the class returns to the array after the next vector the lists
-    accept, once it fits again.  Both keep the same rows and give the
-    same answers, and stored_rows lists a class either way.
+    Each class orders its columns so that the last F, its region, hold
+    all its free columns, those that are no row's pivot; F is the most
+    free columns of a class with rows, rounded up to a multiple of 8.  A
+    row is stored as its pivot column, its pivot value and its entries
+    in the region, where it holds its pivot value at its own pivot and 0
+    at the others; stored_rows rebuilds the full rows.
+
+    insert_layer tests a layer of vectors, each bound for one class: a
+    vector is accepted exactly when it lies outside the span of its
+    class's rows and of the earlier vectors bound for that class, as if
+    they were inserted one at a time.  It lays a chunk of classes out as
+    one (classes, rows, F) array of the stored rows over the vectors
+    reduced against them, and each step settles one new pivot in every
+    class of the chunk that still has an independent vector.  A class
+    whose int64 bound fails runs the same code again on Python ints.
     """
 
     def __init__(self, classes: int, width: int):
@@ -157,80 +172,100 @@ class ResidueBasis:
             raise ValueError("need at least one class and a positive width")
         self._width = width
         # classes + 1 slots, so that callers may number their classes
-        # from 0 or from 1
-        self._rows: list[Union[list[tuple[int, list[int]]], _DenseRows]] = [
-            [] for _ in range(classes + 1)
-        ]
+        # from 0 or from 1.  Row i of class c has pivot column
+        # _pivots[c, i] and pivot value _values[c, i], -1 and 1 past its
+        # rows, and its region entries are _rows[i, c, :_free].  Row i
+        # comes first, so that _rows takes memory for the first rows of
+        # every class only.  A wide class holds an entry past the int64
+        # bound, and then the rows are Python ints.
+        size = classes + 1
+        self._counts = np.zeros(size, dtype=np.int64)
+        self._columns = np.arange(width)[None, :].repeat(size, axis=0)
+        self._pivots = np.zeros((size, width), dtype=np.int64) - 1
+        self._values = np.ones((size, width), dtype=np.int64)
+        self._rows = np.zeros((width, size, width), dtype=np.int64)
+        self._free = width
+        self._wide = np.zeros(size, dtype=bool)
+        # the most rows of a class
+        self._used = 0
 
     @property
     def width(self) -> int:
         return self._width
 
     def rows_in(self, residue: int) -> int:
-        return len(self._rows[residue])
+        return int(self._counts[residue])
 
     @property
     def total_rows(self) -> int:
-        return sum(len(rows) for rows in self._rows)
+        return int(self._counts.sum())
 
     def stored_rows(self, residue: int) -> list[tuple[int, tuple[int, ...]]]:
         """The (pivot column, row) pairs of one class, in pivot order."""
-        rows = self._rows[residue]
-        if isinstance(rows, _DenseRows):
-            rows = rows.listed()
-        return [(pivot, tuple(row)) for pivot, row in rows]
+        (slots,) = np.nonzero(self._pivots[residue] >= 0)
+        pivots, width = self._pivots[residue, slots], self._width
+        rows = np.zeros((len(slots), width), dtype=self._rows.dtype)
+        rows[np.arange(len(slots)), pivots] = self._values[residue, slots]
+        free = self._free
+        rows[:, self._columns[residue, width - free :]] = self._rows[slots, residue, :free]
+        return [(int(pivots[i]), tuple(rows[i].tolist())) for i in np.argsort(pivots)]
 
-    def _reduce(self, rows: list[tuple[int, list[int]]], vector: Sequence[int]) -> list[int]:
-        v = list(vector)
-        for pivot, row in rows:
-            c = v[pivot]
-            if c:
-                p = row[pivot]
-                v = [p * a - c * b for a, b in zip(v, row)]
-        return v
-
-    def _check_width(self, vectors: Vectors) -> None:
+    def _block(self, vectors: Vectors) -> np.ndarray:
+        """The vectors as a 2-D array: int64 when every entry fits the bound, else Python ints."""
         if isinstance(vectors, np.ndarray):
-            widths = {vectors.shape[-1] if vectors.ndim == 2 else -1}
+            if vectors.ndim != 2 or vectors.shape[1] != self._width:
+                raise ValueError(f"vectors of width {self._width} expected, got {vectors.shape}")
+            if vectors.dtype == np.int64:
+                return vectors
+        elif {len(v) for v in vectors} - {self._width}:
+            raise ValueError(f"vectors of width {self._width} expected")
         else:
-            widths = {len(v) for v in vectors}
-        if widths - {self._width}:
-            raise ValueError(f"vector widths {sorted(widths)} do not match {self._width}")
-
-    def _to_lists(self, residue: int) -> list[tuple[int, list[int]]]:
-        """Move a class whose int64 bound failed to Python-int lists."""
-        rows = self._rows[residue] = self._rows[residue].listed()
-        return rows
+            vectors = np.array([[int(x) for x in v] for v in vectors], dtype=object)
+            vectors = vectors.reshape(-1, self._width)
+        if vectors.dtype == object and not (np.abs(vectors) >= _INT64_SAFE).any():
+            vectors = vectors.astype(np.int64)
+        return vectors
 
     def contains(self, residue: int, vector: Sequence[int]) -> bool:
         """Whether the vector already lies in the span stored for a class."""
-        self._check_width([vector])
-        rows = self._rows[residue]
-        if isinstance(rows, _DenseRows):
-            try:
-                return not rows.reduce(_as_block([vector])).any()
-            except OverflowError:
-                rows = self._to_lists(residue)
-        return not any(self._reduce(rows, vector))
+        vectors = self._block([vector])
+        if not self._counts[residue]:
+            return not vectors.any()
+        zero = np.zeros(1, dtype=np.int64)
+        for exact in (bool(self._wide[residue]) or vectors.dtype == object, True):
+            work, failed = self._reduced([residue], zero, zero, vectors, exact, self._used)
+            if not failed[0]:
+                return not work[0, -2].any()
 
     def seed(self, residues: Sequence[int], row: Sequence[int]) -> None:
         """Store a primitive row, pivot positive, as the first row of each empty class given.
 
         Each class then holds what inserting the row would store.
         """
-        self._check_width([row])
+        row = [int(x) for x in row]
+        if len(row) != self._width:
+            raise ValueError(f"seed width {len(row)} does not match {self._width}")
+        residues = np.asarray(residues, dtype=np.int64)
         pivot = next((j for j, x in enumerate(row) if x), None)
-        if pivot is None or row[pivot] < 0 or gcd(*row) != 1 or any(map(self.rows_in, residues)):
+        if pivot is None or row[pivot] < 0 or gcd(*row) != 1 or self._counts[residues].any():
             raise ValueError("a seed must be primitive with a positive pivot, its classes empty")
-        for residue in residues:
-            self._rows[residue] = [(pivot, list(row))]
+        wide = max(map(abs, row)) >= _INT64_SAFE
+        self._widen(self._width)
+        self._used = max(self._used, 1)
+        if wide:
+            self._rows, self._values = self._rows.astype(object), self._values.astype(object)
+        self._values[residues, 0] = row[pivot]
+        self._rows[0, residues] = np.array(row, dtype=self._rows.dtype)[self._columns[residues]]
+        self._pivots[residues, 0] = pivot
+        self._counts[residues] = 1
+        self._wide[residues] = wide
 
     def insert(self, residue: int, vector: Sequence[int]) -> bool:
         """Reduce against the class rows; store if independent.
 
         Returns True when the vector enlarged the span.
         """
-        return self.insert_block(residue, [vector])[0]
+        return bool(self.insert_layer([residue], [vector])[0])
 
     def insert_block(self, residue: int, vectors: Vectors) -> list[bool]:
         """Test vectors in order against one class and store each that is independent.
@@ -238,84 +273,243 @@ class ResidueBasis:
         Returns, for each vector, whether it enlarged the span of the
         class rows and the vectors before it.
         """
-        self._check_width(vectors)
-        accepted: list[bool] = []
-        listed = None
-        while len(accepted) < len(vectors):
-            done = len(accepted)
-            rows = self._rows[residue]
-            if isinstance(rows, _DenseRows):
-                try:
-                    accepted += rows.insert_block(_as_block(vectors[done:]))
-                    continue
-                except OverflowError:
-                    rows = self._to_lists(residue)
-            if listed is None:
-                listed = vectors.tolist() if isinstance(vectors, np.ndarray) else vectors
-            accepted.append(self._insert_listed(residue, rows, listed[done]))
-        return accepted
+        return self.insert_layer([residue] * len(vectors), vectors).tolist()
 
-    def _insert_listed(
-        self, residue: int, rows: list[tuple[int, list[int]]], vector: Sequence[int]
-    ) -> bool:
-        v = self._reduce(rows, vector)
-        for j, x in enumerate(v):
-            if x:
+    def insert_layer(self, groups: Sequence[int], vectors: Vectors) -> np.ndarray:
+        """Test vectors[i] against class groups[i], and store each vector that is independent.
+
+        Returns, for each vector, whether it enlarged the span of its
+        class's rows and of the vectors before it bound for that class.
+        """
+        vectors = self._block(vectors)
+        groups = np.asarray(groups, dtype=np.int64)
+        if groups.shape != (len(vectors),):
+            raise ValueError("need one class for each vector")
+        order = np.argsort(groups, kind="stable")
+        ordered = groups[order]
+        sizes = np.bincount(ordered, minlength=len(self._counts))
+        # each vector's place among those bound for its class
+        slots = np.arange(len(order)) - np.searchsorted(ordered, ordered)
+        # a full class rejects every vector without a test
+        tested = (sizes > 0) & (self._counts < self._width)
+        exact = tested & self._wide
+        if vectors.dtype == object:
+            exact[ordered[(np.abs(vectors[order]) >= _INT64_SAFE).any(axis=1)]] = True
+            exact &= tested
+        accepted, (fast,) = np.zeros(len(order), dtype=bool), np.nonzero(tested & ~exact)
+        tall, width = self._used, self._width
+        # an empty class needs every column in its region
+        if self._free < width and not self._counts[tested].all():
+            self._widen(width)
+        size = max(len(fast), 1)
+        if fast.size and (width + len(order)) * (1 + width) * size > _SPAN_ENTRIES:
+            counts = self._counts[fast]
+            low, high = int(counts.min()), int(counts.max())
+            size = max(1, _SPAN_ENTRIES // ((high + int(sizes.max())) * (1 + width - low)))
+            if size < len(fast):
+                # classes of like row count share a chunk
+                fast = fast[np.argsort(counts, kind="stable")]
+        for lo in range(0, len(fast), size):
+            chunk = fast[lo : lo + size]
+            failed = self._settle(chunk, False, tall, ordered, slots, order, vectors, accepted)
+            exact[chunk[failed]] = True
+        if exact.any():
+            self._settle(np.nonzero(exact)[0], True, tall, ordered, slots, order, vectors, accepted)
+        self._compact()
+        result = np.empty_like(accepted)
+        result[order] = accepted
+        return result
+
+    def _reduced(
+        self, chunk, where: np.ndarray, slots: np.ndarray, vectors: np.ndarray, exact: bool, tall: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The chunk's rows over its vectors reduced against them, and the classes whose bound failed.
+
+        Vector i is bound for class chunk[where[i]], as its slots[i]-th.
+        The (classes, rows, 2 + F) layout holds the first tall rows, the
+        vectors, each a 0, its region entries and a 0, and a unit row,
+        zero but for a last 1.  A reduced vector is lcm * V - (V at the
+        pivots * lcm / pivot values) @ rows, lcm that of the pivot values;
+        with the gain lcm + sum (lcm / p_i) * max|row_i|, no partial sum
+        passes max|V| * gain.
+        """
+        width, free = self._width, self._free
+        deep = int(np.bincount(where).max())
+        dtype = object if exact else np.int64
+        work = np.zeros((len(chunk), tall + deep + 1, 2 + free), dtype=dtype)
+        work[:, :tall, 0] = self._values[chunk, :tall]
+        work[:, :tall, 1:-1] = self._rows[:tall, chunk, :free].swapaxes(0, 1)
+        work[:, -1, -1] = 1
+        columns = np.hstack([self._pivots[chunk, :tall], self._columns[chunk, width - free :]])
+        spread = np.zeros((len(chunk), deep, tall + free), dtype=dtype)
+        spread[where, slots] = vectors[np.arange(len(where))[:, None], columns[where]]
+        values, stored = work[:, :tall, 0], work[:, :tall, 1:-1]
+        multiple = np.lcm.reduce(values, axis=1, initial=1)
+        scales = multiple[:, None] // values
+        work[:, tall:-1, 1:-1] = multiple[:, None, None] * spread[:, :, tall:] - np.matmul(
+            spread[:, :, :tall] * scales[:, None, :], stored
+        )
+        failed = np.zeros(len(chunk), dtype=bool)
+        if exact:
+            return work, failed
+        # the gain is at most lcm * (1 + rows * max|entry|), and a wrapped
+        # lcm is never a positive common multiple below the bound
+        entry = float(np.abs(work[:, :tall]).max(initial=0))
+        if multiple.max() * float(np.abs(spread).max()) * (1 + tall * entry) >= _INT64_SAFE or (
+            tall * log2(max(entry, 1)) >= 62
+            and (multiple.min() <= 0 or (multiple[:, None] % values).any())
+        ):
+            failed = (multiple <= 0) | (multiple >= _INT64_SAFE) | (multiple[:, None] % values).any(1)
+            tops = np.abs(stored).max(axis=2, initial=0)
+            gain = multiple + (scales * tops.astype(float)).sum(axis=1)
+            failed |= np.abs(spread).max(axis=(1, 2)) * gain >= _INT64_SAFE
+        return work, failed
+
+    def _settle(
+        self, chunk: np.ndarray, exact: bool, tall: int, ordered: np.ndarray, slots: np.ndarray,
+        order: np.ndarray, vectors: np.ndarray, accepted: np.ndarray,
+    ) -> np.ndarray:
+        """Span-test the vectors of a chunk of classes, one new pivot in every class a step.
+
+        Sets accepted[i] for each accepted vector order[i] and stores the
+        chunk's rows.  Returns which classes failed an int64 bound; their
+        rows and flags are left for the exact run.
+        """
+        at = np.zeros(len(self._counts), dtype=np.int64) - 1
+        at[chunk] = np.arange(len(chunk))
+        where, slot, taken = at[ordered], slots, slice(None)
+        if where.min() < 0:
+            (taken,) = np.nonzero(where >= 0)
+            where, slot = where[taken], slots[taken]
+        work, failed = self._reduced(chunk, where, slot, vectors[order[taken]], exact, tall)
+        classes, height = np.arange(len(chunk)), np.arange(work.shape[1])
+        deep = work.shape[1] - 1 - tall
+        candidates = work[:, tall:]
+        # the vectors not yet picked, of classes whose bound held, and the
+        # unit row, which a class takes once it has no vector left: its
+        # step then changes nothing.  A class picks one vector a step.
+        open_ = np.ones((len(chunk), deep + 1), dtype=bool)
+        if failed.any():
+            open_[failed, :deep] = False
+        # each vector's pivot, as a column of work, once it is picked
+        pivots = np.zeros(open_.shape, dtype=np.int64)
+        most = 0.0 if exact else float(np.abs(work).max())
+        if most >= _CONTENT_LIMIT:
+            _divide_content(work)
+            most = float(np.abs(work).max())
+        for _ in range(deep):
+            nonzero = candidates.any(axis=2)
+            nonzero &= open_
+            first = nonzero.argmax(axis=1)
+            if first.min() == deep:
                 break
-        else:
-            return False
-        _make_primitive(v, j)
-        # keep older rows zero at the new pivot
-        for pos, (pivot, row) in enumerate(rows):
-            c = row[j]
-            if c:
-                p = v[j]
-                merged = [p * a - c * b for a, b in zip(row, v)]
-                _make_primitive(merged, pivot)
-                rows[pos] = (pivot, merged)
-        rows.append((j, v))
-        rows.sort(key=lambda item: item[0])
-        if len(rows) >= DENSE_ROWS:
-            try:
-                self._rows[residue] = _DenseRows(rows)
-            except OverflowError:
-                pass
-        return True
+            open_[classes, first] = False
+            open_[:, deep] = True
+            row = candidates[classes, first]
+            column = (row != 0).argmax(axis=1)
+            pivots[classes, first] = column
+            value = row[classes, column]
+            # each other row times a = value / g, less the picked row times
+            # b = c / g, clears its entry c at the column
+            hit = work[classes[:, None], height, column[:, None]]
+            hit[classes, tall + first] = 0
+            common = np.gcd(hit, value[:, None])
+            a, b = value[:, None] // common, hit // common
+            if not exact:
+                if most >= _SMALL:
+                    # no longer small enough for every merge: bound each row
+                    tops = np.abs(work).max(axis=2)
+                    bound = np.abs(a) * tops + np.abs(b) * tops[classes, tall + first][:, None]
+                    over = (bound >= _INT64_SAFE).any(axis=1)
+                    failed |= over
+                    open_[over, :deep] = False
+                    a[over], b[over] = 1, 0
+                # a merged entry is at most |a| * most + |b| * most, and
+                # |a|, |b| <= most
+                if most < _CONTENT_LIMIT**0.5:
+                    most *= 2 * most
+                else:
+                    most *= float(np.abs(a).max() + np.abs(b).max())
+            work *= a[:, :, None]
+            work -= b[:, :, None] * row[:, None, :]
+            if exact:
+                _divide_content(work)
+            elif most >= _CONTENT_LIMIT:
+                most = float(np.abs(work).max())
+                if most >= _CONTENT_LIMIT:
+                    _divide_content(work)
+                    most = float(np.abs(work).max())
+        chosen = (pivots[:, :deep] > 0) & ~failed[:, None]
+        accepted[taken] = chosen[where, slot]
+        owner, place = np.nonzero(chosen)
+        picked = tall + place
+        # the picked vectors take their pivot values
+        work[owner, picked, 0] = work[owner, picked, pivots[owner, place]]
+        work *= np.sign(work[:, :, :1])
+        _divide_content(work)
+        # their rows follow the stored ones, in slot order
+        slots = self._counts[chunk][owner] + np.cumsum(chosen, axis=1)[owner, place] - 1
+        region, free = self._columns[chunk, self._width - self._free :], self._free
+        self._used = max(self._used, int(slots.max(initial=-1)) + 1)
+        kept = ~failed
+        if exact:
+            self._wide[chunk[kept]] = np.abs(work[kept]).max(axis=(1, 2)) >= _INT64_SAFE
+            if self._wide.any():
+                self._rows, self._values = self._rows.astype(object), self._values.astype(object)
+        self._values[chunk[kept], :tall] = work[kept, :tall, 0]
+        self._rows[:tall, chunk[kept], :free] = work[kept, :tall, 1:-1].swapaxes(0, 1)
+        self._values[chunk[owner], slots] = work[owner, picked, 0]
+        self._rows[slots, chunk[owner], :free] = work[owner, picked, 1:-1]
+        self._pivots[chunk[owner], slots] = region[owner, pivots[owner, place] - 1]
+        self._counts[chunk] += chosen.sum(axis=1)
+        return failed
+
+    def _widen(self, free: int) -> None:
+        """Let the region grow to free columns; a row holds its pivot value at its own added one."""
+        width, have = self._width, self._free
+        if free > have:
+            added, rows = self._columns[:, width - free : width - have], slice(self._used)
+            self._rows[rows, :, free - have : free] = self._rows[rows, :, :have].copy()
+            own = self._pivots.T[rows, :, None] == added
+            self._rows[rows, :, : free - have] = own * self._values.T[rows, :, None]
+            self._free = free
+
+    def _compact(self) -> None:
+        """Drop the region's pivot columns past rounding, in place, a few rows at a time."""
+        width, counts, have = self._width, self._counts, self._free
+        # the class with the fewest rows has the most free columns
+        free = have
+        if _rounded(width - self._used) < have:
+            free = min(_rounded(width - int(counts.min(where=counts > 0, initial=width))), have)
+        if free < have:
+            classes = np.arange(len(counts))[:, None]
+            # the region's pivot columns go first, so that its last free ones
+            # hold every free column; a slot past the rows marks column W
+            region = self._columns[:, width - have :]
+            marked = np.zeros((len(counts), width + 1), dtype=bool)
+            marked[classes, self._pivots] = True
+            order = np.argsort(~marked[classes, region], axis=1, kind="stable")
+            self._columns[:, width - have :] = region[classes, order]
+            keep = order[None, :, have - free :]
+            for lo in range(0, self._used, 16):
+                block = self._rows[lo : lo + 16, :, :have]
+                self._rows[lo : lo + 16, :, :free] = np.take_along_axis(block, keep, 2)
+            self._free = free
+        if self._rows.dtype == object and not self._wide.any():
+            self._rows[:, :, self._free :] = 0
+            self._rows, self._values = self._rows.astype(np.int64), self._values.astype(np.int64)
 
 
-def _make_primitive(v: list[int], pivot: int) -> None:
-    g = gcd(*v)
-    if v[pivot] < 0:
-        g = -g
-    if g not in (0, 1):
-        v[:] = [x // g for x in v]
+def _rounded(size: int) -> int:
+    """Size rounded up to a multiple of 8, so that the region shrinks only now and then."""
+    return -(-size // 8) * 8
 
 
-# A class moves from lists to the array kernel once it holds this many
-# rows and they fit the int64 bound.  Correlated decisions stop while
-# their classes are small, and there the list code is faster than the
-# fixed cost of numpy calls.
-DENSE_ROWS = 8
-# Every int64 operation of the array kernel is first bounded below this
-# in absolute value; int64 itself ends at 2**63.
-_INT64_SAFE = float(1 << 62)
-# the elimination of a block divides out row contents once an entry
-# reaches this
-_CONTENT_LIMIT = float(1 << 20)
-# a closure step takes at most this many entries of its (rows, 2 * base,
-# stride) layout at once, which bounds its temporary arrays
-_STEP_ENTRIES = 1 << 12
-
-
-def _as_block(vectors: Vectors) -> np.ndarray:
-    """The vectors as an int64 block; OverflowError if an entry passes the bound."""
-    if isinstance(vectors, np.ndarray):
-        if vectors.dtype != np.int64:
-            raise OverflowError("a block of Python ints")
-        return vectors
-    if max(abs(x) for v in vectors for x in v) >= _INT64_SAFE:
-        raise OverflowError("entries past the int64 bound")
-    return np.array(vectors, dtype=np.int64)
+def _divide_content(block: np.ndarray) -> np.ndarray:
+    """Divide each row of a block by the gcd of its entries, in place; the gcds, 1 for zero rows."""
+    contents = np.maximum(np.gcd.reduce(block, axis=-1, keepdims=True), 1)
+    block //= contents
+    return contents[..., 0]
 
 
 def _int64_if(block: np.ndarray, factor: int) -> np.ndarray:
@@ -323,188 +517,6 @@ def _int64_if(block: np.ndarray, factor: int) -> np.ndarray:
     top = int(np.abs(block).max()) if block.size else 0
     dtype = np.int64 if factor * max(top, 1) < _INT64_SAFE else object
     return block.astype(dtype, copy=False)
-
-
-def _eliminate(work: np.ndarray, start: int) -> tuple[list[int], list[int], int]:
-    """Ordered fraction-free Gauss-Jordan elimination of an int64 stack, in place.
-
-    The rows before start are stored rows, and the rows from start on
-    are zero at the stored rows' pivot columns.  Row i >= start is picked
-    when it is independent of the rows before it, and its pivot column,
-    its first nonzero one, is then cleared from every other row of the
-    stack, the stored rows included.  Returns the picked rows, their
-    pivot columns and the number of rows settled from start on, all of
-    them unless a merge would pass 2**62.  Then it stops before the row
-    whose merges fail, and the rows from there on are left unfinished;
-    when that row is the first, nothing is settled and it raises
-    OverflowError.  The picked rows have positive pivots and every row
-    is zero at the others' pivot columns, but may share a factor; the
-    other settled rows are zero.
-    """
-    _divide_content(work[start:])
-    # the largest |entry| of each row, 0 for a zero row, and a bound on
-    # them all
-    tops = np.abs(work).max(axis=1).astype(np.float64)
-    top = float(tops.max())
-    picked: list[int] = []
-    columns: list[int] = []
-    i = start
-    while True:
-        rest = tops[i:].nonzero()[0]
-        if not rest.size:
-            return picked, columns, len(work) - start
-        i += int(rest[0])
-        row = work[i]
-        j = int(row.nonzero()[0][0])
-        p = int(row[j])
-        if p < 0:
-            row *= -1
-            p = -p
-        column = work[:, j].copy()
-        column[i] = 0
-        hit = column.nonzero()[0]
-        if hit.size:
-            # each hit row, times a = p / g, takes out row times b = c / g,
-            # where p is the pivot value, c the row's entry at the pivot
-            # column and g = gcd(p, c)
-            c = column[hit]
-            g = np.gcd(c, p)
-            a, b = p // g, c // g
-            # the bound over the whole stack is the cheaper one; a merge
-            # fails only when the bound over its own rows fails too
-            if (p + top) * top >= _INT64_SAFE and (
-                (a * tops[hit] + np.abs(b) * tops[i]).max() >= _INT64_SAFE
-            ):
-                if i == start:
-                    raise OverflowError("merge past the int64 bound")
-                return picked, columns, i - start
-            merged = work[hit]
-            merged *= a[:, None]
-            merged -= b[:, None] * row
-            big = np.abs(merged).max(axis=1)
-            most = float(big.max())
-            # dividing out the contents costs more than the merge, so it
-            # waits until the entries grow
-            if most >= _CONTENT_LIMIT:
-                _divide_content(merged)
-                big = np.abs(merged).max(axis=1)
-                most = float(big.max())
-            work[hit] = merged
-            tops[hit] = big
-            top = max(top, most)
-        picked.append(i)
-        columns.append(j)
-        i += 1
-
-
-def _divide_content(block: np.ndarray) -> np.ndarray:
-    """Divide each row of a block by the gcd of its entries, in place; the gcds, 1 for zero rows."""
-    contents = np.gcd.reduce(block, axis=1)
-    contents[contents == 0] = 1
-    block //= contents[:, None]
-    return contents
-
-
-class _DenseRows:
-    """The rows of one grown class as int64, reduced against all of them at once.
-
-    rows holds the primitive rows, and pivots[i] is row i's pivot column.
-    With lcm the least common multiple of the pivot values p_i and
-    scales[i] = lcm // p_i,
-
-        lcm * V - (V[:, pivots] * scales) @ rows
-
-    is, row by row, a positive multiple of what the sequential reduction
-    leaves of a block V: the rows are zero at each other's pivots, so
-    row i clears pivot column i and no other.  insert_block stacks those
-    residues under the rows and eliminates them in block order
-    (_eliminate), which picks exactly the vectors a one-at-a-time
-    insertion would accept and clears each new pivot column from the
-    older rows as well.  A stored row with pivot j is nonzero at a new
-    pivot column j' only when j' > j, and the row it takes out is zero
-    before j', so it keeps its pivot and the sign of its pivot value.
-
-    Every operation is bounded below 2**62 before any row changes: a
-    reduction checks the gain times the block's largest |entry|, the
-    elimination checks each of its merges, and _commit checks the new
-    lcm and the new gain.  An elimination that would pass the bound
-    stops early: the rows it settled are added, and the rest of the
-    block starts again from its vectors, reduced against every row.  A
-    bound that fails before anything is settled raises OverflowError
-    with the rows untouched, and ResidueBasis runs the next vector on
-    its Python-int lists instead.
-    """
-
-    def __init__(self, listed: list[tuple[int, list[int]]]):
-        if max(max(max(row), -min(row)) for _, row in listed) >= _INT64_SAFE:
-            raise OverflowError("rows past the int64 bound")
-        rows = np.array([row for _, row in listed], dtype=np.int64)
-        self._commit(rows, [pivot for pivot, _ in listed])
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def _commit(self, rows: np.ndarray, pivots: list[int]) -> None:
-        """Replace the rows, once their pivots' lcm and their reduction gain fit the bound.
-
-        The gain is lcm + sum(scales * max|row_i|): for a vector with
-        entries at most top in absolute value, every partial sum of a
-        reduction stays below top * gain.
-        """
-        pivot_values = rows[np.arange(len(pivots)), pivots].tolist()
-        multiple = lcm(*pivot_values)
-        if multiple >= _INT64_SAFE:
-            raise OverflowError("pivot lcm past the int64 bound")
-        scales = np.array([multiple // p for p in pivot_values], dtype=np.int64)
-        gain = multiple + float(scales @ np.abs(rows).max(axis=1).astype(np.float64))
-        # past this gain every reduction would fail its bound, so the
-        # class stays on its lists
-        if gain >= _INT64_SAFE:
-            raise OverflowError("reduction gain past the int64 bound")
-        self.rows, self.pivots = rows, np.array(pivots)
-        self.lcm, self.scales, self.gain = multiple, scales, gain
-
-    def reduce(self, block: np.ndarray) -> np.ndarray:
-        """A positive multiple of each row of the block reduced against every row."""
-        # compared as a quotient, so that no entry is ever made a float
-        if np.abs(block).max() >= _INT64_SAFE / self.gain:
-            raise OverflowError("reduction past the int64 bound")
-        return self.lcm * block - (block[:, self.pivots] * self.scales) @ self.rows
-
-    def insert_block(self, block: np.ndarray) -> list[bool]:
-        """Store, in order, each row of the block that enlarges the span.
-
-        Returns whether each of the first rows was stored: all of them,
-        unless a bound fails after some were settled.  A bound that
-        fails before any row is settled raises OverflowError.
-        """
-        accepted: list[bool] = []
-        while len(accepted) < len(block):
-            n = len(self.rows)
-            try:
-                stack = np.concatenate([self.rows, self.reduce(block[len(accepted):])])
-                picked, columns, settled = _eliminate(stack, n)
-                if picked:
-                    # the stored rows that took a new row out, and the new rows
-                    changed = self.rows[:, columns].any(axis=1).nonzero()[0].tolist() + picked
-                    merged = stack[changed]
-                    _divide_content(merged)
-                    stack[changed] = merged
-                    self._commit(stack[list(range(n)) + picked], self.pivots.tolist() + columns)
-            except OverflowError:
-                if accepted:
-                    return accepted
-                raise
-            settled_rows = [False] * settled
-            for i in picked:
-                settled_rows[i - n] = True
-            accepted += settled_rows
-        return accepted
-
-    def listed(self) -> list[tuple[int, list[int]]]:
-        """The (pivot, row) pairs in pivot order, as Python ints."""
-        order = np.argsort(self.pivots)
-        return [(int(self.pivots[i]), self.rows[i].tolist()) for i in order]
 
 
 def witness_from_provenance(digits: Sequence[int], base: int) -> int:
@@ -546,21 +558,18 @@ def _total_at_zero(coeffs: Sequence[int], table: CorrelationTable) -> int:
 
 
 @lru_cache(maxsize=None)
-def _step_index(base: int, modulus: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _step_index(base: int, modulus: int) -> tuple[np.ndarray, np.ndarray]:
     """Index arrays of the compressed closure step, in its (2 * base, stride) layout.
 
     Entry [o * base + j, i] stands for entry r = i * base + j of offset
     block o.  gather holds o * stride + r % stride, where a compressed
-    vector keeps that entry; classes holds r, and shifted[s] holds
-    (r + s + o) mod K for every s in [0, K).
+    vector keeps that entry, and classes holds r.
     """
     stride = modulus // base
     r = np.arange(modulus).reshape(stride, base).T
     classes = np.concatenate([r, r])
-    offsets = np.repeat([0, 1], base)[:, None]
-    gather = offsets * stride + classes % stride
-    shifted = (classes + offsets + np.arange(modulus)[:, None, None]) % modulus
-    return gather, classes, shifted
+    gather = np.repeat([0, stride], base)[:, None] + classes % stride
+    return gather, classes
 
 
 @lru_cache(maxsize=None)
@@ -594,32 +603,23 @@ def expand_element(
     """
     base = table.base
     modulus = table.modulus
-    gather, classes, shifted = _step_index(base, modulus)
-    h = np.array(table.factor.values, dtype=np.int8)
+    gather, classes = _step_index(base, modulus)
+    # the ratio over two periods, so that r + o + q needs no reduction
+    h = np.array(table.factor.values * 2, dtype=np.int8)
     own = h[classes]
+    # r + o for entry r of offset block o
+    ahead = classes + gather // (modulus // base)
     size = max(1, _STEP_ENTRIES // (2 * modulus))
     children = np.empty((len(residues), vectors.shape[1]), dtype=np.int64)
     for lo in range(0, len(residues), size):
         q = residues[lo : lo + size]
         block = _int64_if(vectors[source[lo : lo + size]], 2 * base)
-        signs = own * h[shifted[q % modulus]]
+        signs = own * h[ahead + (q % modulus)[:, None, None]]
         chunk = _carries(base)[q % base] @ (block[:, gather] * signs)
         if chunk.dtype != children.dtype:
             children = children.astype(object)
         children[lo : lo + size] = chunk.reshape(len(q), -1)
     return children, _divide_content(children)
-
-
-def _test_groups(basis: ResidueBasis, children: np.ndarray, groups: np.ndarray) -> np.ndarray:
-    """Span-test a layer's children, one block per group; which were accepted, in layer order."""
-    order = np.argsort(groups, kind="stable")
-    ordered = groups[order]
-    cuts = (np.flatnonzero(np.diff(ordered)) + 1).tolist()
-    accepted = np.zeros(len(order), dtype=bool)
-    for lo, hi in zip([0] + cuts, cuts + [len(order)]):
-        rows = order[lo:hi]
-        accepted[rows] = basis.insert_block(int(ordered[lo]), children[rows])
-    return accepted
 
 
 def decide(pattern_set: PatternSet, level: Union[int, None] = None) -> Decision:
@@ -673,7 +673,7 @@ def decide(pattern_set: PatternSet, level: Union[int, None] = None) -> Decision:
                 basis = ResidueBasis(stride, 2 * stride)
                 basis.seed(range(stride), seed)
             children, contents = expand_element(residues[:end], vectors, source[:end], table)
-            accepted = _test_groups(basis, children, heads[:end] % stride)
+            accepted = basis.insert_layer(heads[:end] % stride, children)
             created += base * int(np.count_nonzero(accepted))
         if stop is not None:
             expansions += stop + 1

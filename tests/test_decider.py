@@ -17,7 +17,6 @@ from patcorr.classify import (
 )
 from patcorr.correlation import bootstrap
 from patcorr.decider import (
-    DENSE_ROWS,
     Decision,
     InternalConsistencyError,
     ResidueBasis,
@@ -186,22 +185,28 @@ def _check_against_rational(basis, rng, classes, inserts, make):
     return stored
 
 
-def _count_moves_to_lists(monkeypatch):
-    """Record the class of every move from the int64 array to Python-int lists."""
+# enough rows that a class grows well past its first few
+GROWN = 8
+
+
+def _count_exact_runs(monkeypatch):
+    """Record the classes of every span test that runs on Python ints after an int64 bound failed."""
     moved = []
-    to_lists = ResidueBasis._to_lists
-    monkeypatch.setattr(
-        ResidueBasis,
-        "_to_lists",
-        lambda basis, residue: moved.append(residue) or to_lists(basis, residue),
-    )
+    settle = ResidueBasis._settle
+
+    def counted(basis, chunk, exact, *layer):
+        if exact:
+            moved.extend(int(c) for c in chunk)
+        return settle(basis, chunk, exact, *layer)
+
+    monkeypatch.setattr(ResidueBasis, "_settle", counted)
     return moved
 
 
 class TestResidueBasis:
     def test_against_rational_elimination(self, monkeypatch):
-        # count the moves of a grown class from int64 to Python ints
-        moved = _count_moves_to_lists(monkeypatch)
+        # count the span tests that run on Python ints
+        moved = _count_exact_runs(monkeypatch)
         rng = random.Random(5)
         classes, width = 3, 6
         for _ in range(40):
@@ -210,10 +215,10 @@ class TestResidueBasis:
                 basis, rng, classes, 25,
                 lambda: tuple(rng.randint(-3, 3) for _ in range(width)),
             )
-        # classes past the switch to the array kernel.  Small entries keep
-        # it on int64.  Entries near 2**31 and 2**61 fit int64, but their
-        # products overflow its bounds; entries near 2**70 do not fit at
-        # all.  The last three move to Python ints.
+        # grown classes.  Small entries keep them on int64.  Entries near
+        # 2**31 and 2**61 fit int64, but their products overflow its
+        # bounds; entries near 2**70 do not fit at all.  The last three
+        # run some tests on Python ints.  Both keep canonical rows.
         classes, width = 1, 18
         for spike in (0, 1 << 31, 1 << 61, 1 << 70):
             moved.clear()
@@ -222,16 +227,16 @@ class TestResidueBasis:
                 stored = _check_against_rational(
                     basis, rng, classes, 70, _spiked(rng, width, spike)
                 )
-                assert any(len(rows) > DENSE_ROWS for rows in stored.values())
+                assert any(len(rows) > GROWN for rows in stored.values())
             assert bool(moved) == (spike > 0)
 
     def test_blocks_match_one_at_a_time(self, monkeypatch):
-        # blocks of 1 to 12 vectors against one vector at a time, past the
-        # switch to the array kernel.  Small entries keep the blocks on
-        # int64.  Entries near 2**31 and 2**61 fit int64, but once rows
-        # of that size are stored, reductions pass their bound; entries
-        # near 2**70 do not fit at all.  The last three reach the lists.
-        moved = _count_moves_to_lists(monkeypatch)
+        # blocks of 1 to 12 vectors against one vector at a time, in a
+        # grown class.  Small entries keep the blocks on int64.  Entries
+        # near 2**31 and 2**61 fit int64, but once rows of that size are
+        # stored, reductions pass their bound; entries near 2**70 do not
+        # fit at all.  The last three run some blocks on Python ints.
+        moved = _count_exact_runs(monkeypatch)
         rng = random.Random(43)
         width = 19
         for spike in (0, 1 << 31, 1 << 61, 1 << 70):
@@ -258,16 +263,16 @@ class TestResidueBasis:
                 del moved[blocked_moves:]
                 stored.extend(v for v, g in zip(vectors, grew) if g)
                 assert blocked.stored_rows(0) == single.stored_rows(0)
-            assert blocked.rows_in(0) > DENSE_ROWS
+            assert blocked.rows_in(0) > GROWN
             assert blocked.stored_rows(0) == _canonical_rows(stored)
             assert bool(moved) == (spike > 0)
 
     def test_class_returns_to_int64_after_transient_overflow(self, monkeypatch):
         # in this base-4 family some eliminations fail an int64 bound
-        # before they settle a vector: the group moves to Python ints
-        # for that vector, comes back to the array after it, and ends
-        # with the rows of the rational reduced echelon form
-        moved = _count_moves_to_lists(monkeypatch)
+        # before they settle a layer: the group runs that layer again on
+        # Python ints, keeps int64 rows after it, and ends with the rows
+        # of the rational reduced echelon form
+        moved = _count_exact_runs(monkeypatch)
         made = []
         tested = []
         accepted = defaultdict(list)
@@ -277,12 +282,12 @@ class TestResidueBasis:
                 super().__init__(classes, width)
                 made.append(self)
 
-            def insert_block(self, residue, vectors):
-                grew = super().insert_block(residue, vectors)
-                tested.extend([residue] * len(vectors))
-                accepted[residue].extend(
-                    tuple(int(x) for x in v) for v, g in zip(vectors, grew) if g
-                )
+            def insert_layer(self, groups, vectors):
+                grew = super().insert_layer(groups, vectors)
+                tested.extend(groups)
+                for group, v, g in zip(groups.tolist(), vectors, grew):
+                    if g:
+                        accepted[group].append(tuple(int(x) for x in v))
                 return grew
 
         monkeypatch.setattr(decider, "ResidueBasis", Recorded)
@@ -290,35 +295,35 @@ class TestResidueBasis:
         assert decision.noncorrelated
         (basis,) = made
         assert len(moved) > 1
-        # every child is tested once, whether its block or the lists take it;
-        # the seed row is stored in each group without a test
+        # every child is tested once, on int64 or on Python ints; the seed
+        # row is stored in each group without a test
         assert len(tested) == decision.expansions
         seed = (1,) * 16 + (0,) * 16
+        assert not basis._wide.any() and basis._rows.dtype == np.int64
         for group in set(moved):
-            assert isinstance(basis._rows[group], decider._DenseRows)
             assert basis.stored_rows(group) == _canonical_rows([seed] + accepted[group])
 
-    def test_products_past_int64_stay_exact(self):
+    def test_products_past_int64_stay_exact(self, monkeypatch):
         # every entry fits int64, but reducing the last vector sums
         # products near 2**62 into entries far beyond it
-        width = DENSE_ROWS + 4
+        width = GROWN + 4
         x, y = width - 2, width - 1
         rows = []
-        for i in range(DENSE_ROWS + 1):
+        for i in range(GROWN + 1):
             row = [0] * width
             row[i], row[x], row[y] = 1, 1 << 31, 1
             rows.append(tuple(row))
         basis = ResidueBasis(1, width)
         for row in rows:
             assert basis.insert(0, row)
-        vec = tuple((1 << 31) + 1 if i < DENSE_ROWS else 0 for i in range(width))
+        vec = tuple((1 << 31) + 1 if i < GROWN else 0 for i in range(width))
         assert not basis.contains(0, vec)
         assert basis.insert(0, vec)
         assert basis.stored_rows(0) == _canonical_rows(rows + [vec])
         # here the reduced vector is -2**64 at x, which int64 would wrap
         # to 0
         basis = ResidueBasis(1, width)
-        for i in range(DENSE_ROWS):
+        for i in range(GROWN):
             row = [0] * width
             row[i], row[x] = 1, 1 << 32
             assert basis.insert(0, tuple(row))
@@ -327,34 +332,30 @@ class TestResidueBasis:
         assert basis.insert(0, vec)
         # here the first vector of a block reduces within the bound, but
         # its pivot column meets a stored row near 2**41, and clearing it
-        # there would pass 2**62: the array raises before any row
-        # changes, and the lists take the vector
-        rows = [tuple(int(j == i) for j in range(width)) for i in range(DENSE_ROWS)]
-        rows[-1] = rows[-1][:DENSE_ROWS] + (1 << 41, 0, 0, 0)
+        # there would pass 2**62: the class runs the block again on
+        # Python ints, from its rows as they were, and keeps int64 rows
+        moved = _count_exact_runs(monkeypatch)
+        rows = [tuple(int(j == i) for j in range(width)) for i in range(GROWN)]
+        rows[-1] = rows[-1][:GROWN] + (1 << 41, 0, 0, 0)
         block = [
-            (0,) * DENSE_ROWS + ((1 << 20) + 1, 1 << 20, 0, 0),
+            (0,) * GROWN + ((1 << 20) + 1, 1 << 20, 0, 0),
             (0,) * (width - 1) + (1,),
             (1, 1) + (0,) * (width - 2),
         ]
         blocked, single = ResidueBasis(1, width), ResidueBasis(1, width)
         for row in rows:
             assert blocked.insert(0, row) and single.insert(0, row)
-        dense = blocked._rows[0]
-        assert isinstance(dense, decider._DenseRows)
-        before = dense.rows.copy(), dense.pivots.copy(), dense.lcm, dense.gain
-        with pytest.raises(OverflowError):
-            dense.insert_block(np.array(block[:1], dtype=np.int64))
-        assert np.array_equal(dense.rows, before[0])
-        assert np.array_equal(dense.pivots, before[1])
-        assert (dense.lcm, dense.gain) == before[2:]
+        assert moved == []
         grew = blocked.insert_block(0, np.array(block, dtype=np.int64))
+        assert moved == [0]
+        assert blocked._rows.dtype == np.int64
         assert grew == [single.insert(0, v) for v in block] == [True, True, False]
         assert blocked.stored_rows(0) == single.stored_rows(0) == _canonical_rows(rows + block)
 
     def test_pivot_lcm_past_int64_stays_exact(self, monkeypatch):
         # small rows whose pivots are distinct primes: their least common
-        # multiple fits int64 when the class switches to the array, and
-        # passes 2**63 with the ninth row
+        # multiple fits int64 for the first rows, and passes 2**63 with
+        # the ninth row
         primes = [101, 103, 107, 109, 113, 127, 131, 137, 1000003, 1000033]
         width = len(primes) + 1
         rows = []
@@ -372,10 +373,9 @@ class TestResidueBasis:
         assert not basis.contains(0, fresh)
         assert basis.insert(0, fresh)
         assert basis.stored_rows(0) == _canonical_rows(rows + [fresh])
-        # here every bound of a reduction and of the merges that clear a
-        # new pivot column holds, but the merges multiply the older
-        # pivots, and their lcm passes 2**62: the class moves to Python
-        # ints before any row changes
+        # here the merges that clear a new pivot column multiply the
+        # older pivots, and entries pass the bound: the class takes that
+        # row on Python ints, from its rows as they were
         rows = [
             (83, 0, 0, 0, 0, 0, 0, 0, 0, 0, -32, 0),
             (0, 137, 0, 0, 0, 0, 0, 0, 0, -32, 0, 0),
@@ -388,28 +388,59 @@ class TestResidueBasis:
             (0, 0, 0, 0, 0, 0, 0, 0, 29, 0, -13, -3),
             (0, 0, -2, 0, 0, 0, 0, 1, 0, 4, 0, 0),
         ]
-        moved = _count_moves_to_lists(monkeypatch)
+        moved = _count_exact_runs(monkeypatch)
         basis = ResidueBasis(1, len(rows[0]))
         for count, row in enumerate(rows, 1):
             assert basis.insert(0, row)
-            if count == DENSE_ROWS:
-                assert isinstance(basis._rows[0], decider._DenseRows)
-                assert moved == []
-            if count == 9:
-                # the ninth row fails a merge bound and the lists take it.
-                # Its rows' lcm fits int64, but their reduction gain
-                # L + sum (L / p_i) max|R_i| passes 2**62, so every later
-                # reduction would fail: the class stays on its lists.
-                assert moved == [0]
-                assert not isinstance(basis._rows[0], decider._DenseRows)
-                assert basis.stored_rows(0) == _canonical_rows(rows[:9])
-        # the tenth row brings the gain back under the bound
-        assert isinstance(basis._rows[0], decider._DenseRows)
-        assert basis.stored_rows(0) == _canonical_rows(rows)
+            assert basis.stored_rows(0) == _canonical_rows(rows[:count])
+            # the ninth and tenth rows fail a bound and run on Python ints
+            assert moved == [0] * max(0, count - 8)
+        # the rows fit int64 again, and the next row takes them there
+        assert basis._rows.dtype == np.int64
         last = (0, 0, 0, 0, 0, 5, 0, 4, 0, 0, -3, 0)
         assert basis.insert(0, last)
         assert moved == [0, 0]
         assert basis.stored_rows(0) == _canonical_rows(rows + [last])
+
+    def test_layers_match_one_at_a_time(self, monkeypatch):
+        # random layers over several classes, from empty to full, some
+        # with spikes that pass the int64 bound in their class only: the
+        # same flags and rows as one insert at a time, and as the
+        # rational oracle
+        moved = _count_exact_runs(monkeypatch)
+        rng = random.Random(61)
+        classes, width = 5, 7
+        layered, single = ResidueBasis(classes, width), ResidueBasis(classes, width)
+        stored = {c: [] for c in range(classes + 1)}
+        spiky = {2, 4}
+        for _ in range(30):
+            groups, vectors = [], []
+            for _ in range(rng.randint(1, 14)):
+                c = rng.randrange(classes + 1)
+                vec = _sparse(rng, width)
+                if c in spiky and rng.random() < 0.3:
+                    vec[rng.randrange(width)] = rng.choice((-1, 1)) << rng.choice((40, 61, 70))
+                elif stored[c] and rng.random() < 0.3:
+                    picks = rng.sample(stored[c], min(3, len(stored[c])))
+                    vec = [sum(rng.randint(-4, 4) * x for x in col) for col in zip(*picks)]
+                groups.append(c)
+                vectors.append(tuple(vec))
+            for c, v in zip(groups, vectors):
+                assert layered.contains(c, v) == _in_span(stored[c], v)
+            grew = layered.insert_layer(groups, vectors)
+            assert grew.tolist() == [single.insert(c, v) for c, v in zip(groups, vectors)]
+            for c, v, g in zip(groups, vectors, grew):
+                if g:
+                    stored[c].append(v)
+            for c in range(classes + 1):
+                assert layered.rows_in(c) == len(stored[c])
+                assert layered.stored_rows(c) == single.stored_rows(c)
+                assert layered.stored_rows(c) == _canonical_rows(stored[c])
+        assert max(map(len, stored.values())) == width
+        assert set(moved) & spiky and not set(moved) - spiky
+        assert layered.insert_layer([], np.zeros((0, width), dtype=np.int64)).size == 0
+        with pytest.raises(ValueError):
+            layered.insert_layer([0, 1], [(0,) * width])
 
     def test_seed_stores_what_insert_would(self):
         rng = random.Random(23)
@@ -466,18 +497,18 @@ class TestResidueBasis:
         for vec in ((1, 0, 0, 0, 5), (1, 0, 0)):
             with pytest.raises(ValueError):
                 basis.contains(0, vec)
-        width = DENSE_ROWS + 3
+        width = GROWN + 3
         basis = ResidueBasis(1, width)
-        for i in range(DENSE_ROWS + 1):
+        for i in range(GROWN + 1):
             assert basis.insert(0, tuple(int(j == i) for j in range(width)))
-        assert basis.rows_in(0) > DENSE_ROWS
+        assert basis.rows_in(0) > GROWN
         for size in (width - 1, width + 1):
             with pytest.raises(ValueError):
                 basis.contains(0, (1,) + (0,) * (size - 1))
 
     def test_rows_stay_canonical(self):
         # same span reached along different insertion orders gives the
-        # same stored rows, on lists and past the switch to the array
+        # same stored rows, in a small class and in a grown one
         vecs = [(1, 2, 0, 4), (0, 3, 1, -2), (2, 1, 1, 2)]
         a = ResidueBasis(1, 4)
         b = ResidueBasis(1, 4)
@@ -489,7 +520,7 @@ class TestResidueBasis:
         assert a.stored_rows(0) == _canonical_rows(vecs)
         rng = random.Random(17)
         width = 14
-        vecs = [tuple(_sparse(rng, width)) for _ in range(DENSE_ROWS + 4)]
+        vecs = [tuple(_sparse(rng, width)) for _ in range(GROWN + 4)]
         orders = [vecs, vecs[::-1], rng.sample(vecs, len(vecs))]
         listings = []
         for order in orders:
@@ -497,7 +528,7 @@ class TestResidueBasis:
             for v in order:
                 basis.insert(0, v)
             listings.append(basis.stored_rows(0))
-        assert len(listings[0]) > DENSE_ROWS
+        assert len(listings[0]) > GROWN
         assert listings[0] == listings[1] == listings[2] == _canonical_rows(vecs)
 
 
@@ -665,6 +696,10 @@ class TestExpansion:
                 )
                 assert tuple(int(x) for x in child) == coeffs
                 assert int(content) == scale
+
+    def test_step_index_stays_linear_in_k(self):
+        # the cached index arrays hold O(K) entries, not one row per shift
+        assert sum(a.nbytes for a in decider._step_index(2, 1024)) < 1 << 20
 
     def test_single_digit_first_step(self):
         # the shift-1 seed for the parity-of-ones set: one shared child
@@ -877,16 +912,16 @@ class TestLargerClosures:
         # one span test per expansion, and one accepted row per base
         # children past the K seeded elements; the seeds are stored
         # without a test.  decide tests
-        # each layer's children in one block per group, so these count
-        # block rows.
+        # each layer's children in one call, so these count layer rows.
         results = []
-        insert_block = ResidueBasis.insert_block
+        insert_layer = ResidueBasis.insert_layer
 
-        def counted_block(basis, residue, vectors):
-            results.extend(insert_block(basis, residue, vectors))
-            return results[-len(vectors):]
+        def counted_layer(basis, groups, vectors):
+            grew = insert_layer(basis, groups, vectors)
+            results.extend(grew.tolist())
+            return grew
 
-        monkeypatch.setattr(ResidueBasis, "insert_block", counted_block)
+        monkeypatch.setattr(ResidueBasis, "insert_layer", counted_layer)
         decision = decide(saturated_family_from_hadamard(sylvester_hadamard(2), length))
         assert decision.noncorrelated
         assert len(results) == calls == decision.expansions
@@ -1107,7 +1142,7 @@ def layered(monkeypatch):
     Returns a check that decides a set both ways, asserts the same
     record JSON and the same rows in every group, and returns the
     per-element decision, the elements its last layer created before it
-    stopped, and the moves of decide's groups from int64 to lists.
+    stopped, and the groups whose span tests decide ran on Python ints.
     """
     made = []
 
@@ -1117,7 +1152,7 @@ def layered(monkeypatch):
             made.append(self)
 
     monkeypatch.setattr(decider, "ResidueBasis", Recorded)
-    moved = _count_moves_to_lists(monkeypatch)
+    moved = _count_exact_runs(monkeypatch)
 
     def check(pattern_set):
         made.clear()
@@ -1159,9 +1194,9 @@ class TestLayeredClosure:
         for a in family():
             layered(a)
 
-    def test_groups_moved_to_lists_match(self, layered):
-        # merges past the int64 bound send groups of this family to their
-        # lists, in the block tests as in the per-element loop
+    def test_groups_on_python_ints_match(self, layered):
+        # merges past the int64 bound send groups of this family to
+        # Python ints, in the layer tests as in the per-element loop
         decision, _, moves = layered(random_hadamard_family(4, 3, random.Random(416)))
         assert decision.noncorrelated
         assert moves
