@@ -136,9 +136,11 @@ _SMALL = float(1 << 30)
 # a closure step takes at most this many entries of its (rows, 2 * base,
 # stride) layout at once, which bounds its temporary arrays
 _STEP_ENTRIES = 1 << 12
-# a span test takes its classes in chunks of at most about this many
-# entries of their (classes, rows, 1 + free columns) layout
+# a span test takes its classes in chunks of about this many array entries
 _SPAN_ENTRIES = 1 << 15
+# the row arrays double their rows up to this many bytes, then take them
+# all: numpy gives a larger array huge pages that fill only when written
+_GROWN_BYTES = 1 << 22
 
 
 class ResidueBasis:
@@ -174,16 +176,15 @@ class ResidueBasis:
         # classes + 1 slots, so that callers may number their classes
         # from 0 or from 1.  Row i of class c has pivot column
         # _pivots[c, i] and pivot value _values[c, i], -1 and 1 past its
-        # rows, and its region entries are _rows[i, c, :_free].  Row i
-        # comes first, so that _rows takes memory for the first rows of
-        # every class only.  A wide class holds an entry past the int64
-        # bound, and then the rows are Python ints.
-        size = classes + 1
+        # rows, and its region entries are _rows[i, c, :_free]; the three
+        # grow with the most rows of a class.  A wide class holds an entry
+        # past the int64 bound, and then the rows are Python ints.
+        size, planes = classes + 1, min(width, 8)
         self._counts = np.zeros(size, dtype=np.int64)
         self._columns = np.arange(width)[None, :].repeat(size, axis=0)
-        self._pivots = np.zeros((size, width), dtype=np.int64) - 1
-        self._values = np.ones((size, width), dtype=np.int64)
-        self._rows = np.zeros((width, size, width), dtype=np.int64)
+        self._pivots = np.full((size, planes), -1)
+        self._values = np.ones((size, planes), dtype=np.int64)
+        self._rows = np.zeros((planes, size, width), dtype=np.int64)
         self._free = width
         self._wide = np.zeros(size, dtype=bool)
         # the most rows of a class
@@ -233,7 +234,7 @@ class ResidueBasis:
             return not vectors.any()
         zero = np.zeros(1, dtype=np.int64)
         for exact in (bool(self._wide[residue]) or vectors.dtype == object, True):
-            work, failed = self._reduced([residue], zero, zero, vectors, exact, self._used)
+            work, failed = self._reduced([residue], zero, zero, vectors, zero, exact, self._used)
             if not failed[0]:
                 return not work[0, -2].any()
 
@@ -249,30 +250,23 @@ class ResidueBasis:
         pivot = next((j for j, x in enumerate(row) if x), None)
         if pivot is None or row[pivot] < 0 or gcd(*row) != 1 or self._counts[residues].any():
             raise ValueError("a seed must be primitive with a positive pivot, its classes empty")
-        wide = max(map(abs, row)) >= _INT64_SAFE
         self._widen(self._width)
         self._used = max(self._used, 1)
-        if wide:
-            self._rows, self._values = self._rows.astype(object), self._values.astype(object)
+        if max(map(abs, row)) >= _INT64_SAFE:
+            self._wide[residues] = True
+            if self._rows.dtype != object:
+                self._rows, self._values = self._rows.astype(object), self._values.astype(object)
         self._values[residues, 0] = row[pivot]
         self._rows[0, residues] = np.array(row, dtype=self._rows.dtype)[self._columns[residues]]
         self._pivots[residues, 0] = pivot
         self._counts[residues] = 1
-        self._wide[residues] = wide
 
     def insert(self, residue: int, vector: Sequence[int]) -> bool:
-        """Reduce against the class rows; store if independent.
-
-        Returns True when the vector enlarged the span.
-        """
+        """Insert a vector into a class if it lies outside the span; whether it did."""
         return bool(self.insert_layer([residue], [vector])[0])
 
     def insert_block(self, residue: int, vectors: Vectors) -> list[bool]:
-        """Test vectors in order against one class and store each that is independent.
-
-        Returns, for each vector, whether it enlarged the span of the
-        class rows and the vectors before it.
-        """
+        """Insert vectors in order into one class; for each, whether it enlarged the span."""
         return self.insert_layer([residue] * len(vectors), vectors).tolist()
 
     def insert_layer(self, groups: Sequence[int], vectors: Vectors) -> np.ndarray:
@@ -297,91 +291,85 @@ class ResidueBasis:
             exact[ordered[(np.abs(vectors[order]) >= _INT64_SAFE).any(axis=1)]] = True
             exact &= tested
         accepted, (fast,) = np.zeros(len(order), dtype=bool), np.nonzero(tested & ~exact)
+        layer = ordered, slots, order, vectors, accepted
         tall, width = self._used, self._width
         # an empty class needs every column in its region
         if self._free < width and not self._counts[tested].all():
             self._widen(width)
-        size = max(len(fast), 1)
-        if fast.size and (width + len(order)) * (1 + width) * size > _SPAN_ENTRIES:
-            counts = self._counts[fast]
-            low, high = int(counts.min()), int(counts.max())
-            size = max(1, _SPAN_ENTRIES // ((high + int(sizes.max())) * (1 + width - low)))
-            if size < len(fast):
-                # classes of like row count share a chunk
-                fast = fast[np.argsort(counts, kind="stable")]
+        # a chunk's arrays are (classes, tall + deep + 1, 2 + F) and (classes, deep, tall)
+        deep = int(sizes.max())
+        size = max(1, _SPAN_ENTRIES // ((tall + deep + 1) * (2 + self._free) + deep * tall))
         for lo in range(0, len(fast), size):
             chunk = fast[lo : lo + size]
-            failed = self._settle(chunk, False, tall, ordered, slots, order, vectors, accepted)
-            exact[chunk[failed]] = True
+            failed = self._settle(chunk, False, tall, layer)
+            if failed.any():
+                exact[chunk[failed]] = True
         if exact.any():
-            self._settle(np.nonzero(exact)[0], True, tall, ordered, slots, order, vectors, accepted)
+            self._settle(np.nonzero(exact)[0], True, tall, layer)
         self._compact()
-        result = np.empty_like(accepted)
-        result[order] = accepted
-        return result
+        return accepted[np.argsort(order)]
 
     def _reduced(
-        self, chunk, where: np.ndarray, slots: np.ndarray, vectors: np.ndarray, exact: bool, tall: int
+        self, chunk, where: np.ndarray, slots: np.ndarray, vectors, picks, exact: bool, tall: int
     ) -> tuple[np.ndarray, np.ndarray]:
         """The chunk's rows over its vectors reduced against them, and the classes whose bound failed.
 
-        Vector i is bound for class chunk[where[i]], as its slots[i]-th.
-        The (classes, rows, 2 + F) layout holds the first tall rows, the
-        vectors, each a 0, its region entries and a 0, and a unit row,
-        zero but for a last 1.  A reduced vector is lcm * V - (V at the
-        pivots * lcm / pivot values) @ rows, lcm that of the pivot values;
-        with the gain lcm + sum (lcm / p_i) * max|row_i|, no partial sum
-        passes max|V| * gain.
+        Vector vectors[picks[i]] is bound for class chunk[where[i]], as
+        its slots[i]-th.  The (classes, rows, 2 + F) layout holds the
+        first tall rows, the vectors, each a 0, its region entries and a
+        0, and a unit row, zero but for a last 1.  A reduced vector is
+        lcm * V - (V at the pivots * lcm / pivot values) @ rows, lcm that
+        of the pivot values; with the gain lcm + sum (lcm / p_i) *
+        max|row_i|, no partial sum passes max|V| * gain.
         """
-        width, free = self._width, self._free
+        free = self._free
         deep = int(np.bincount(where).max())
         dtype = object if exact else np.int64
         work = np.zeros((len(chunk), tall + deep + 1, 2 + free), dtype=dtype)
         work[:, :tall, 0] = self._values[chunk, :tall]
         work[:, :tall, 1:-1] = self._rows[:tall, chunk, :free].swapaxes(0, 1)
         work[:, -1, -1] = 1
-        columns = np.hstack([self._pivots[chunk, :tall], self._columns[chunk, width - free :]])
-        spread = np.zeros((len(chunk), deep, tall + free), dtype=dtype)
-        spread[where, slots] = vectors[np.arange(len(where))[:, None], columns[where]]
+        # the vectors at the pivots, and at the region in place of their reductions
+        spread, fresh = np.zeros((len(chunk), deep, tall), dtype=dtype), work[:, tall:-1, 1:-1]
+        spread[where, slots] = vectors[picks[:, None], self._pivots[chunk, :tall][where]]
+        region = self._columns[chunk, self._width - free :]
+        fresh[where, slots] = vectors[picks[:, None], region[where]]
         values, stored = work[:, :tall, 0], work[:, :tall, 1:-1]
         multiple = np.lcm.reduce(values, axis=1, initial=1)
         scales = multiple[:, None] // values
-        work[:, tall:-1, 1:-1] = multiple[:, None, None] * spread[:, :, tall:] - np.matmul(
-            spread[:, :, :tall] * scales[:, None, :], stored
-        )
         failed = np.zeros(len(chunk), dtype=bool)
-        if exact:
-            return work, failed
-        # the gain is at most lcm * (1 + rows * max|entry|), and a wrapped
-        # lcm is never a positive common multiple below the bound
-        entry = float(np.abs(work[:, :tall]).max(initial=0))
-        if multiple.max() * float(np.abs(spread).max()) * (1 + tall * entry) >= _INT64_SAFE or (
-            tall * log2(max(entry, 1)) >= 62
-            and (multiple.min() <= 0 or (multiple[:, None] % values).any())
-        ):
+        # the gain is at most lcm * (1 + rows * top), top the largest
+        # |entry| of the rows and the vectors, and a wrapped lcm is never a
+        # positive common multiple below the bound
+        top = 0.0 if exact else float(max(abs(spread).max(initial=0), abs(work).max()))
+        if top and (multiple.max() * top * (1 + tall * top) >= _INT64_SAFE or (
+            tall * log2(top) >= 62 and (multiple.min() <= 0 or (multiple[:, None] % values).any())
+        )):
             failed = (multiple <= 0) | (multiple >= _INT64_SAFE) | (multiple[:, None] % values).any(1)
-            tops = np.abs(stored).max(axis=2, initial=0)
-            gain = multiple + (scales * tops.astype(float)).sum(axis=1)
-            failed |= np.abs(spread).max(axis=(1, 2)) * gain >= _INT64_SAFE
+            tops = np.abs(stored).max(axis=2, initial=0).astype(float)
+            peaks = np.abs(work[:, tall:-1]).max((1, 2))
+            peaks = np.maximum(peaks, np.abs(spread).max((1, 2), initial=0))
+            failed |= peaks * (multiple + (scales * tops).sum(axis=1)) >= _INT64_SAFE
+        fresh *= multiple[:, None, None]
+        spread *= scales[:, None, :]
+        fresh -= np.matmul(spread, stored)
         return work, failed
 
-    def _settle(
-        self, chunk: np.ndarray, exact: bool, tall: int, ordered: np.ndarray, slots: np.ndarray,
-        order: np.ndarray, vectors: np.ndarray, accepted: np.ndarray,
-    ) -> np.ndarray:
+    def _settle(self, chunk, exact: bool, tall: int, layer: tuple) -> np.ndarray:
         """Span-test the vectors of a chunk of classes, one new pivot in every class a step.
 
-        Sets accepted[i] for each accepted vector order[i] and stores the
-        chunk's rows.  Returns which classes failed an int64 bound; their
-        rows and flags are left for the exact run.
+        Sets accepted[i] for each accepted vector order[i] of the layer
+        and stores the chunk's rows.  Returns which classes failed an
+        int64 bound, whose rows and flags await the exact run.
         """
-        at = np.zeros(len(self._counts), dtype=np.int64) - 1
+        ordered, slots, order, vectors, accepted = layer
+        at = np.full(len(self._counts), -1)
         at[chunk] = np.arange(len(chunk))
         where, slot, taken = at[ordered], slots, slice(None)
         if where.min() < 0:
             (taken,) = np.nonzero(where >= 0)
             where, slot = where[taken], slots[taken]
-        work, failed = self._reduced(chunk, where, slot, vectors[order[taken]], exact, tall)
+        work, failed = self._reduced(chunk, where, slot, vectors, order[taken], exact, tall)
         classes, height = np.arange(len(chunk)), np.arange(work.shape[1])
         deep = work.shape[1] - 1 - tall
         candidates = work[:, tall:]
@@ -389,8 +377,7 @@ class ResidueBasis:
         # unit row, which a class takes once it has no vector left: its
         # step then changes nothing.  A class picks one vector a step.
         open_ = np.ones((len(chunk), deep + 1), dtype=bool)
-        if failed.any():
-            open_[failed, :deep] = False
+        open_[failed, :deep] = False
         # each vector's pivot, as a column of work, once it is picked
         pivots = np.zeros(open_.shape, dtype=np.int64)
         most = 0.0 if exact else float(np.abs(work).max())
@@ -417,12 +404,13 @@ class ResidueBasis:
             a, b = value[:, None] // common, hit // common
             if not exact:
                 if most >= _SMALL:
-                    # no longer small enough for every merge: bound each row
-                    tops = np.abs(work).max(axis=2)
+                    # no longer small enough for every merge: bound each
+                    # row, in float so that the bound cannot wrap
+                    tops = np.abs(work).max(axis=2).astype(float)
                     bound = np.abs(a) * tops + np.abs(b) * tops[classes, tall + first][:, None]
                     over = (bound >= _INT64_SAFE).any(axis=1)
                     failed |= over
-                    open_[over, :deep] = False
+                    open_[over, :deep], pivots[over] = False, 0
                     a[over], b[over] = 1, 0
                 # a merged entry is at most |a| * most + |b| * most, and
                 # |a|, |b| <= most
@@ -439,7 +427,8 @@ class ResidueBasis:
                 if most >= _CONTENT_LIMIT:
                     _divide_content(work)
                     most = float(np.abs(work).max())
-        chosen = (pivots[:, :deep] > 0) & ~failed[:, None]
+        # a class whose bound failed has no picks
+        chosen = pivots[:, :deep] > 0
         accepted[taken] = chosen[where, slot]
         owner, place = np.nonzero(chosen)
         picked = tall + place
@@ -448,21 +437,35 @@ class ResidueBasis:
         work *= np.sign(work[:, :, :1])
         _divide_content(work)
         # their rows follow the stored ones, in slot order
-        slots = self._counts[chunk][owner] + np.cumsum(chosen, axis=1)[owner, place] - 1
+        counts = self._counts[chunk]
+        slots = counts[owner] + np.cumsum(chosen, axis=1)[owner, place] - 1
         region, free = self._columns[chunk, self._width - self._free :], self._free
-        self._used = max(self._used, int(slots.max(initial=-1)) + 1)
-        kept = ~failed
+        self._grow(int(slots.max(initial=-1)) + 1)
+        kept = ~failed if failed.any() else slice(None)
         if exact:
             self._wide[chunk[kept]] = np.abs(work[kept]).max(axis=(1, 2)) >= _INT64_SAFE
-            if self._wide.any():
+            if self._wide.any() and self._rows.dtype != object:
                 self._rows, self._values = self._rows.astype(object), self._values.astype(object)
         self._values[chunk[kept], :tall] = work[kept, :tall, 0]
         self._rows[:tall, chunk[kept], :free] = work[kept, :tall, 1:-1].swapaxes(0, 1)
         self._values[chunk[owner], slots] = work[owner, picked, 0]
         self._rows[slots, chunk[owner], :free] = work[owner, picked, 1:-1]
         self._pivots[chunk[owner], slots] = region[owner, pivots[owner, place] - 1]
-        self._counts[chunk] += chosen.sum(axis=1)
+        self._counts[chunk] = counts + chosen.sum(axis=1)
         return failed
+
+    def _grow(self, used: int) -> None:
+        """Let a class hold used rows; the row arrays at least double their rows when they grow."""
+        self._used, have = max(self._used, used), len(self._rows)
+        if self._used > have:
+            planes = max(self._used, 2 * have)
+            if 2 * planes > self._width or planes * self._rows[0].nbytes >= _GROWN_BYTES:
+                planes = self._width
+            rows, pivots, values = self._rows, self._pivots, self._values
+            self._rows = np.zeros((planes,) + rows.shape[1:], dtype=rows.dtype)
+            self._pivots = np.full((len(pivots), planes), -1, dtype=np.int64)
+            self._values = np.ones((len(values), planes), dtype=values.dtype)
+            self._rows[:have], self._pivots[:, :have], self._values[:, :have] = rows, pivots, values
 
     def _widen(self, free: int) -> None:
         """Let the region grow to free columns; a row holds its pivot value at its own added one."""
@@ -671,7 +674,7 @@ def decide(pattern_set: PatternSet, level: Union[int, None] = None) -> Decision:
         if end:
             if basis is None:
                 basis = ResidueBasis(stride, 2 * stride)
-                basis.seed(range(stride), seed)
+                basis.seed(np.arange(stride), seed)
             children, contents = expand_element(residues[:end], vectors, source[:end], table)
             accepted = basis.insert_layer(heads[:end] % stride, children)
             created += base * int(np.count_nonzero(accepted))
@@ -711,10 +714,7 @@ def decide(pattern_set: PatternSet, level: Union[int, None] = None) -> Decision:
 
 
 def _correlated_decision(
-    table: CorrelationTable,
-    provenance: tuple[int, ...],
-    point_value: Fraction,
-    created: int,
+    table: CorrelationTable, provenance: tuple[int, ...], point_value: Fraction, created: int,
     expansions: int,
 ) -> Decision:
     base = table.base

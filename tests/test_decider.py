@@ -351,6 +351,17 @@ class TestResidueBasis:
         assert blocked._rows.dtype == np.int64
         assert grew == [single.insert(0, v) for v in block] == [True, True, False]
         assert blocked.stored_rows(0) == single.stored_rows(0) == _canonical_rows(rows + block)
+        # here every entry fits 2**41, but clearing the second pivot
+        # multiplies entries near 2**40 by 2**40: a bound on each row's
+        # merge taken in int64 would wrap below 2**62 and pass
+        moved.clear()
+        block = [(1 << 40, 1, 0), (3, 1 << 40, 1)]
+        basis = ResidueBasis(1, 3)
+        assert basis.insert_block(0, block) == [True, True]
+        assert moved == [0]
+        assert basis.stored_rows(0) == _canonical_rows(block)
+        assert not basis.contains(0, (3, 0, 1))
+        assert not _in_span(block, (3, 0, 1))
 
     def test_pivot_lcm_past_int64_stays_exact(self, monkeypatch):
         # small rows whose pivots are distinct primes: their least common
@@ -419,7 +430,11 @@ class TestResidueBasis:
                 c = rng.randrange(classes + 1)
                 vec = _sparse(rng, width)
                 if c in spiky and rng.random() < 0.3:
-                    vec[rng.randrange(width)] = rng.choice((-1, 1)) << rng.choice((40, 61, 70))
+                    # one or two spikes: two near 2**40 in one vector make
+                    # merges whose products pass 2**63
+                    shift = rng.choice((40, 61, 70))
+                    for j in rng.sample(range(width), rng.randint(1, 2)):
+                        vec[j] = rng.choice((-1, 1)) << shift
                 elif stored[c] and rng.random() < 0.3:
                     picks = rng.sample(stored[c], min(3, len(stored[c])))
                     vec = [sum(rng.randint(-4, 4) * x for x in col) for col in zip(*picks)]
@@ -441,6 +456,24 @@ class TestResidueBasis:
         assert layered.insert_layer([], np.zeros((0, width), dtype=np.int64)).size == 0
         with pytest.raises(ValueError):
             layered.insert_layer([0, 1], [(0,) * width])
+
+    def test_row_arrays_grow_with_the_largest_class(self):
+        # the row arrays hold 8 rows until a class needs a ninth, then
+        # double; past 4 MB they take every row at once
+        for stride, grown in ((16, 16), (128, 256)):
+            width = 2 * stride
+            basis = ResidueBasis(stride, width)
+            seed = (1,) * stride + (0,) * stride
+            basis.seed(range(stride), seed)
+            assert basis._rows.shape == (8, stride + 1, width)
+            units = [tuple(int(j == i) for j in range(width)) for i in range(1, 9)]
+            assert basis.insert_block(3, units[:7]) == [True] * 7
+            assert len(basis._rows) == 8
+            assert basis.insert(3, units[7])
+            assert basis._rows.shape == (grown, stride + 1, width)
+            assert basis._pivots.shape == basis._values.shape == (stride + 1, grown)
+            assert basis.stored_rows(3) == _canonical_rows([seed] + units)
+            assert basis.stored_rows(4) == _canonical_rows([seed])
 
     def test_seed_stores_what_insert_would(self):
         rng = random.Random(23)
