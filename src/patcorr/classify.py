@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-from .decider import decide
+from .decider import Decision, batch_size, decide_many
 from .pattern_sets import PatternSet, remove_leading_zeros
 from .words import Word, check_base
 
@@ -201,10 +201,12 @@ class CensusReport:
     """Aggregate outcome of sweeping one candidate family.
 
     by_exact_length tallies the noncorrelated sets by the longest word
-    length of their leading-zero-free form.  timing holds wall-clock
-    statistics per verdict; it is deliberately left out of the
-    structured record so that reports are bit-identical whatever the
-    worker count or machine speed.
+    length of their leading-zero-free form.  timing holds the count of
+    each verdict and decide_seconds, the wall-clock time spent in
+    decide_many summed over the workers: the candidates are decided in
+    batches, so no candidate has a time of its own.  It is deliberately
+    left out of the structured record so that reports are bit-identical
+    whatever the worker count or machine speed.
     """
 
     base: int
@@ -217,7 +219,7 @@ class CensusReport:
     total_created: int
     total_expansions: int
     noncorrelated_sets: Optional[list[str]] = None
-    timing: Optional[dict[str, dict[str, float]]] = field(default=None, compare=False)
+    timing: Optional[dict[str, float]] = field(default=None, compare=False)
 
     def to_record(self) -> dict:
         record: dict = {
@@ -257,30 +259,42 @@ def _subset(pool: Sequence[Word], mask: int) -> list[Word]:
     return [w for b, w in enumerate(pool) if (mask >> b) & 1]
 
 
-def _sweep_chunk(args: tuple) -> list:
+def _sweep_chunk(args: tuple) -> tuple[list, float]:
+    """visit(candidate, decision) for the chunk's masks, and the seconds spent deciding."""
     visit, pool_args, start, step = args
-    base = pool_args[0]
+    base, length = pool_args[:2]
     pool = _census_pool(*pool_args)
     masks = range(start, 1 << len(pool), step)
-    return [visit(PatternSet(base, tuple(_subset(pool, mask)))) for mask in masks]
+    # one batch of candidates at a time, sized for the widest of them
+    size = batch_size(base, base**length)
+    outcomes: list = []
+    seconds = 0.0
+    for lo in range(0, len(masks), size):
+        candidates = [PatternSet(base, tuple(_subset(pool, mask))) for mask in masks[lo : lo + size]]
+        started = time.perf_counter()
+        decisions = decide_many(candidates)
+        seconds += time.perf_counter() - started
+        outcomes.extend(map(visit, candidates, decisions))
+    return outcomes, seconds
 
 
-def _sweep(visit: Callable[[PatternSet], tuple], pool_args: tuple, workers: int) -> list:
-    """visit(candidate) for every subset of a census pool, in mask order.
+def _sweep(visit: Callable[[PatternSet, Decision], tuple], pool_args: tuple, workers: int) -> tuple[list, float]:
+    """visit(candidate, decision) for every subset of a census pool, in mask order, and the decide seconds.
 
-    The masks are dealt out to workers * 4 chunks, chunk i taking masks
-    i, i + chunks, and so on, so that the costly noncorrelated sets,
-    which gather in the high masks, spread over all of them.  One worker
-    runs the chunks in this process; more workers share a process pool
-    from the platform's default start method, with at most one process
-    per chunk.  visit must be a module-level function, so that it
-    pickles.  The results are put back in mask order, so a merge over
-    them gives the same report for any worker count.
+    The masks are dealt out to one chunk per worker, chunk i taking
+    masks i, i + chunks, and so on, so that the costly noncorrelated
+    sets, which gather in the high masks, spread over all of them.  A
+    chunk decides its candidates in batches with decide_many.  One
+    worker runs the chunk in this process; more workers share a process
+    pool from the platform's default start method.  visit must be a
+    module-level function, so that it pickles.  The results are put back
+    in mask order, so a merge over them gives the same report for any
+    worker count; the seconds are the chunks' decide time, summed.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
     total = 1 << len(_census_pool(*pool_args))
-    pieces = min(total, workers * 4)
+    pieces = min(total, workers)
     chunks = [(visit, pool_args, i, pieces) for i in range(pieces)]
     if workers == 1:
         results = map(_sweep_chunk, chunks)
@@ -289,21 +303,20 @@ def _sweep(visit: Callable[[PatternSet], tuple], pool_args: tuple, workers: int)
         # load multiprocessing and its socket machinery
         import multiprocessing
 
-        with multiprocessing.Pool(min(workers, pieces)) as processes:
+        with multiprocessing.Pool(pieces) as processes:
             results = processes.map(_sweep_chunk, chunks)
     outcomes: list = [None] * total
-    for start, chunk in enumerate(results):
+    seconds = 0.0
+    for start, (chunk, spent) in enumerate(results):
         outcomes[start::pieces] = chunk
-    return outcomes
+        seconds += spent
+    return outcomes, seconds
 
 
-def _census_visit(candidate: PatternSet) -> tuple:
-    """Exact length (None when correlated), created, expansions, seconds."""
-    started = time.perf_counter()
-    decision = decide(candidate)
-    elapsed = time.perf_counter() - started
+def _census_visit(candidate: PatternSet, decision: Decision) -> tuple:
+    """Exact length (None when correlated), created, expansions."""
     exact = remove_leading_zeros(candidate).length if decision.noncorrelated else None
-    return exact, decision.elements_created, decision.expansions, elapsed
+    return exact, decision.elements_created, decision.expansions
 
 
 def census(
@@ -331,16 +344,10 @@ def census(
         raise ValueError("length must be at least 1")
     if selection not in SELECTIONS:
         raise ValueError(f"selection must be one of {SELECTIONS}, got {selection!r}")
-    outcomes = _sweep(_census_visit, (base, length, selection), workers)
+    outcomes, seconds = _sweep(_census_visit, (base, length, selection), workers)
     by_exact_length: dict[int, int] = {}
     masks: list[int] = []
-    timing = {
-        verdict: {"count": 0, "seconds": 0.0} for verdict in ("correlated", "noncorrelated")
-    }
-    for mask, (exact, _, _, elapsed) in enumerate(outcomes):
-        bucket = timing["correlated" if exact is None else "noncorrelated"]
-        bucket["count"] += 1
-        bucket["seconds"] += elapsed
+    for mask, (exact, _, _) in enumerate(outcomes):
         if exact is not None:
             by_exact_length[exact] = by_exact_length.get(exact, 0) + 1
             masks.append(mask)
@@ -355,11 +362,15 @@ def census(
         candidates=len(outcomes),
         noncorrelated=len(masks),
         by_exact_length=dict(sorted(by_exact_length.items())),
-        peak_stored=max(created for _, created, _, _ in outcomes),
-        total_created=sum(created for _, created, _, _ in outcomes),
-        total_expansions=sum(expansions for _, _, expansions, _ in outcomes),
+        peak_stored=max(created for _, created, _ in outcomes),
+        total_created=sum(created for _, created, _ in outcomes),
+        total_expansions=sum(expansions for _, _, expansions in outcomes),
         noncorrelated_sets=names,
-        timing=timing,
+        timing={
+            "correlated": len(outcomes) - len(masks),
+            "noncorrelated": len(masks),
+            "decide_seconds": seconds,
+        },
     )
 
 
@@ -394,11 +405,10 @@ class EquivalenceReport:
         }
 
 
-def _equivalence_visit(candidate: PatternSet) -> tuple:
+def _equivalence_visit(candidate: PatternSet, decision: Decision) -> tuple:
     """Length (None when correlated), mismatch name or None, created."""
     # saturation is undefined below length 2; those sets must decide correlated
     saturated = candidate.size > 0 and candidate.length >= 2 and is_saturated(candidate)
-    decision = decide(candidate)
     mismatch = str(candidate) if decision.noncorrelated != saturated else None
     length = candidate.length if decision.noncorrelated else None
     return length, mismatch, decision.elements_created
@@ -417,7 +427,7 @@ def check_theorem_c(max_length: int, workers: int = 1) -> EquivalenceReport:
     """
     if max_length < 1:
         raise ValueError("max_length must be at least 1")
-    outcomes = _sweep(_equivalence_visit, (2, max_length, "self-invariant"), workers)
+    outcomes, _ = _sweep(_equivalence_visit, (2, max_length, "self-invariant"), workers)
     by_length = Counter(length for length, _, _ in outcomes if length is not None)
     return EquivalenceReport(
         max_length=max_length,

@@ -230,10 +230,11 @@ def _render_census(report: CensusReport, ns: argparse.Namespace) -> None:
         f"peak stored {report.peak_stored}, total expansions {report.total_expansions}"
     )
     if report.timing:
-        for verdict, stats in sorted(report.timing.items()):
-            print(
-                f"  {verdict}: {stats['count']} candidates in {stats['seconds']:.2f}s"
-            )
+        timing = report.timing
+        print(
+            f"  {timing['correlated']} correlated, {timing['noncorrelated']} noncorrelated, "
+            f"decided in {timing['decide_seconds']:.2f}s summed over workers"
+        )
 
 
 def _check_workers(workers: int) -> None:

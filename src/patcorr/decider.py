@@ -50,6 +50,18 @@ layer's children are then span-tested in one call, each against its
 group in layer order, and the accepted ones, in layer order, make the
 next layer.
 
+decide_many runs the closures of many sets of one base and K in
+lockstep, and decide is its closure on a batch of one.  Each set's queue
+starts with the seed on class 1, whose value at 0 decides most sets:
+those stop before any layer is built.  The others share each layer, set
+by set, so that every set keeps its own queue order, and one basis,
+whose class k * stride + g is carry group g of the batch's set k: each
+layer takes one step call and one span-test call for all of them.  A
+set stops at its own first nonzero value, after span-testing only its
+elements before it, and leaves the batch when it stops or closes.  A
+batch holds batch_size sets, so the tables and rows of one batch at
+most are alive at a time.
+
 Exact arithmetic throughout: vectors hold integers, and an element's
 scale is an integer numerator over base**(digits consumed), while the
 span tests run on primitive integer rows.  A form's value at 0 is one
@@ -82,7 +94,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .correlation import CorrelationTable, bootstrap
-from .pattern_sets import PatternSet
+from .pattern_sets import PatternSet, _operating_level
 
 
 class InternalConsistencyError(RuntimeError):
@@ -141,6 +153,9 @@ _SPAN_ENTRIES = 1 << 15
 # the row arrays double their rows up to this many bytes, then take them
 # all: numpy gives a larger array huge pages that fill only when written
 _GROWN_BYTES = 1 << 22
+# a batch of closures holds at most this many row entries, counting each
+# set's as full: it bounds a batch's tables and rows
+_BATCH_ENTRIES = 1 << 19
 
 
 class ResidueBasis:
@@ -260,6 +275,10 @@ class ResidueBasis:
         self._rows[0, residues] = np.array(row, dtype=self._rows.dtype)[self._columns[residues]]
         self._pivots[residues, 0] = pivot
         self._counts[residues] = 1
+
+    def rows_of(self, residues: np.ndarray) -> np.ndarray:
+        """The number of rows of each class given."""
+        return self._counts[residues]
 
     def insert(self, residue: int, vector: Sequence[int]) -> bool:
         """Insert a vector into a class if it lies outside the span; whether it did."""
@@ -561,18 +580,19 @@ def _total_at_zero(coeffs: Sequence[int], table: CorrelationTable) -> int:
 
 
 @lru_cache(maxsize=None)
-def _step_index(base: int, modulus: int) -> tuple[np.ndarray, np.ndarray]:
+def _step_index(base: int, modulus: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Index arrays of the compressed closure step, in its (2 * base, stride) layout.
 
     Entry [o * base + j, i] stands for entry r = i * base + j of offset
     block o.  gather holds o * stride + r % stride, where a compressed
-    vector keeps that entry, and classes holds r.
+    vector keeps that entry, classes holds r and ahead holds r + o.
     """
     stride = modulus // base
     r = np.arange(modulus).reshape(stride, base).T
     classes = np.concatenate([r, r])
-    gather = np.repeat([0, stride], base)[:, None] + classes % stride
-    return gather, classes
+    offsets = np.repeat([0, 1], base)[:, None]
+    gather = offsets * stride + classes % stride
+    return gather, classes, classes + offsets
 
 
 @lru_cache(maxsize=None)
@@ -587,37 +607,49 @@ def _carries(base: int) -> np.ndarray:
     return np.stack([~carry, carry], axis=1).astype(np.int64)
 
 
+def _ratios(tables: Sequence[CorrelationTable]) -> np.ndarray:
+    """The tables' sequence ratios over two periods, one int8 row per table.
+
+    Two periods, so that a closure step's r + o + q needs no reduction.
+    """
+    return np.array([table.factor.values * 2 for table in tables], dtype=np.int8)
+
+
 def expand_element(
-    residues: np.ndarray, vectors: np.ndarray, source: np.ndarray, table: CorrelationTable
+    residues: np.ndarray,
+    sets: np.ndarray,
+    vectors: np.ndarray,
+    source: np.ndarray,
+    ratios: np.ndarray,
+    base: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One closure step for each element of a layer: consume the least digit of its class.
 
-    Element i sits on class residues[i], in 1 .. K, and its coefficients
-    are the row source[i] of vectors.  Returns the rows of the elements'
-    children's shared vectors, each made primitive, and the content each
-    was divided by, which multiplies the element's scale.  Entry r of
-    offset block o, signed by h(r) h(r + q + o), goes to entry r
-    floordiv base of the child's low or high half, by its carry (digit +
-    o + r % base) floordiv base.  The signs are read off the sequence
-    ratio for each chunk, as int8.  Each child entry sums 2 * base
-    entries of the element, which bounds the int64 step; past the bound
-    the step runs on Python ints.  The elements go a bounded chunk at a
-    time, so the step's temporary arrays stay small.
+    Element i belongs to set sets[i], whose ratio h is the row
+    ratios[sets[i]] (from _ratios), sits on class residues[i], in
+    1 .. K, and its coefficients are the row source[i] of vectors.
+    Returns the rows of the elements' children's shared vectors, each
+    made primitive, and the content each was divided by, which
+    multiplies the element's scale.  Entry r of offset block o, signed
+    by h(r) h(r + q + o), goes to entry r floordiv base of the child's
+    low or high half, by its carry (digit + o + r % base) floordiv
+    base.  Each child entry sums 2 * base entries of the element, which
+    bounds the int64 step; past the bound the step runs on Python ints.
+    The elements go a bounded chunk at a time, so the step's temporary
+    arrays stay small.
     """
-    base = table.base
-    modulus = table.modulus
-    gather, classes = _step_index(base, modulus)
-    # the ratio over two periods, so that r + o + q needs no reduction
-    h = np.array(table.factor.values * 2, dtype=np.int8)
-    own = h[classes]
-    # r + o for entry r of offset block o
-    ahead = classes + gather // (modulus // base)
+    modulus = ratios.shape[1] // 2
+    gather, classes, ahead = _step_index(base, modulus)
+    own, ratio = ratios[:, classes], ratios.ravel()
     size = max(1, _STEP_ENTRIES // (2 * modulus))
     children = np.empty((len(residues), vectors.shape[1]), dtype=np.int64)
     for lo in range(0, len(residues), size):
         q = residues[lo : lo + size]
+        owner = sets[lo : lo + size]
         block = _int64_if(vectors[source[lo : lo + size]], 2 * base)
-        signs = own * h[ahead + (q % modulus)[:, None, None]]
+        # h(r + o + q) is entry r + o + q of the owner's row of ratios
+        ahead_q = (owner * (2 * modulus) + q % modulus)[:, None, None] + ahead
+        signs = own.take(owner, 0) * ratio.take(ahead_q)
         chunk = _carries(base)[q % base] @ (block[:, gather] * signs)
         if chunk.dtype != children.dtype:
             children = children.astype(object)
@@ -633,54 +665,141 @@ def decide(pattern_set: PatternSet, level: Union[int, None] = None) -> Decision:
     verdict is cross-checked: the evaluated form value must equal K times
     the independently computed exact correlation at the witness shift,
     and the reported witness is refined to the smallest shift with a
-    nonzero correlation (capped at K * K sweeps).
+    nonzero correlation (capped at K * K sweeps).  It runs the closure
+    of decide_many on a batch of one.
     """
-    table = bootstrap(pattern_set, level)
-    base = table.base
-    modulus = table.modulus
+    return _closure([bootstrap(pattern_set, level)])[0]
+
+
+def batch_size(base: int, modulus: int) -> int:
+    """How many closures of one (base, K) run in lockstep: the entry budget over the most rows one stores."""
     stride = modulus // base
-    seed = (1,) * stride + (0,) * stride
+    return max(1, _BATCH_ENTRIES // (stride * (2 * stride) ** 2))
+
+
+def decide_many(
+    pattern_sets: Sequence[PatternSet], level: Union[int, None] = None
+) -> list[Decision]:
+    """decide for each set, in input order; the sets of one (base, K) run in lockstep batches.
+
+    The batches hold batch_size(base, K) sets each, so the tables and
+    rows of at most one batch are alive at a time.
+    """
+    keyed: dict[tuple[int, int], list[int]] = {}
+    for i, pattern_set in enumerate(pattern_sets):
+        base = pattern_set.base
+        keyed.setdefault((base, base ** _operating_level(pattern_set, level)), []).append(i)
+    decisions: list = [None] * len(pattern_sets)
+    for (base, modulus), members in keyed.items():
+        size = batch_size(base, modulus)
+        for lo in range(0, len(members), size):
+            batch = members[lo : lo + size]
+            tables = [bootstrap(pattern_sets[i], level) for i in batch]
+            for i, decision in zip(batch, _closure(tables)):
+                decisions[i] = decision
+    return decisions
+
+
+def _closure(tables: Sequence[CorrelationTable]) -> list[Decision]:
+    """The closures of tables of one (base, K), run in lockstep; their decisions in order.
+
+    Each set's queue starts with the seed on class 1, whose child meets
+    the class of 0: most sets stop there, before any layer is built.
+    The others run their layers together.
+    """
+    base = tables[0].base
+    modulus = tables[0].modulus
+    stride = modulus // base
+    seed = np.array([(1,) * stride + (0,) * stride])
+    ratios = _ratios(tables)
+    zero = np.zeros(len(tables), dtype=np.int64)
+    met, contents = expand_element(zero + 1, np.arange(len(tables)), seed, zero, ratios, base)
+    decisions: list = []
+    for table, content, coeffs in zip(tables, contents.tolist(), met.tolist()):
+        decision = None
+        if _total_at_zero(coeffs, table):
+            value = evaluate_at_zero(coeffs, content, 1, table)
+            decision = _correlated_decision(table, (1,), value, modulus, 1)
+        decisions.append(decision)
+    going = [k for k, decision in enumerate(decisions) if decision is None]
+    if going:
+        layered = _layers([tables[k] for k in going], ratios[going], seed)
+        for k, decision in zip(going, layered):
+            decisions[k] = decision
+    return decisions
+
+
+def _layers(tables: Sequence[CorrelationTable], ratios: np.ndarray, seed: np.ndarray) -> list[Decision]:
+    """The breadth-first closures of tables of one (base, K), in lockstep; their decisions in order.
+
+    A layer holds the elements of every set still open, set by set, each
+    set's in its own queue order, and set k's carry group g is class
+    k * stride + g of one shared basis.  A set leaves the batch at its
+    first nonzero value at 0, or when its closure closes.
+    """
+    base = tables[0].base
+    modulus = tables[0].modulus
+    stride = modulus // base
+    count = len(tables)
+    decisions: list = [None] * count
     # the classes t of a carry group t % stride hold the same rows, so
-    # one row space per group answers for all of them.  It is made
-    # before the first span test, with the seed, which is primitive, as
-    # every group's first row: a closure that stops on its first step
-    # tests nothing.
-    basis = None
-    # the layer in queue order: each element's class, its vector as a row
-    # of vectors (the base elements of one child share it), and the
-    # position of the element it came from.  trail keeps the classes,
-    # contents and parents of the finished layers, from which a witness
-    # takes its digits and scale.
-    residues = np.arange(1, modulus + 1)
-    vectors = np.array([seed], dtype=np.int64)
-    source = np.zeros(modulus, dtype=np.int64)
+    # one row space per group answers for all of them.  Each set tests
+    # the child of its seed on class 1, so every group takes the seed,
+    # which is primitive, as its first row.
+    basis = ResidueBasis(count * stride, 2 * stride)
+    basis.seed(np.arange(count * stride), seed[0])
+    # the layer in queue order: each element's set and class, its vector
+    # as a row of vectors (the base elements of one child share it), and
+    # the place of the element it came from among the tested ones of the
+    # layer before.  trail keeps the tested elements' classes, contents
+    # and parents of the finished layers, from which a witness takes its
+    # digits and scale.
+    sets, residues = np.divmod(np.arange(count * modulus), modulus)
+    residues += 1
+    vectors = seed
+    source = np.zeros(len(residues), dtype=np.int64)
     parents = None
     trail = []
-    created = modulus
-    expansions = 0
+    created = np.full(count, modulus)
+    expansions = np.zeros(count, dtype=np.int64)
     while residues.size:
         heads = residues // base
         # only the few children of classes below the base meet the class
-        # of 0, and the first nonzero value among them stops the closure
-        stop = None
+        # of 0, and the first nonzero value of a set among them stops its
+        # closure: stops maps the set to its stop's place, the set, the
+        # child's content and its coefficients
+        stops: dict[int, tuple] = {}
         near = (heads == 0).nonzero()[0]
+        if not trail:
+            # each set's seed on class 1 is zero at 0, or it would not be here
+            near = near[residues[near] > 1]
         if near.size:
-            met, met_contents = expand_element(residues[near], vectors, source[near], table)
-            for found, coeffs in enumerate(met.tolist()):
-                if _total_at_zero(coeffs, table):
-                    stop = int(near[found])
-                    break
-        end = residues.size if stop is None else stop
-        if end:
-            if basis is None:
-                basis = ResidueBasis(stride, 2 * stride)
-                basis.seed(np.arange(stride), seed)
-            children, contents = expand_element(residues[:end], vectors, source[:end], table)
-            accepted = basis.insert_layer(heads[:end] % stride, children)
-            created += base * int(np.count_nonzero(accepted))
-        if stop is not None:
-            expansions += stop + 1
-            scale = int(met_contents[found])
+            owners = sets[near]
+            met, contents = expand_element(
+                residues[near], owners, vectors, source[near], ratios, base
+            )
+            for stop in zip(near.tolist(), owners.tolist(), contents.tolist(), met.tolist()):
+                k = stop[1]
+                if k not in stops and _total_at_zero(stop[3], tables[k]):
+                    stops[k] = stop
+        # a set span-tests only its elements before its stop, and none
+        # when it stops on its first
+        tested = slice(None)
+        if stops:
+            limit = np.full(count, len(residues))
+            limit[list(stops)] = [stop[0] for stop in stops.values()]
+            (tested,) = (np.arange(len(residues)) < limit[sets]).nonzero()
+        owners = sets[tested]
+        if owners.size:
+            children, contents = expand_element(
+                residues[tested], owners, vectors, source[tested], ratios, base
+            )
+            heads = heads[tested]
+            accepted = basis.insert_layer(owners * stride + heads % stride, children)
+            (kept,) = accepted.nonzero()
+            created += base * np.bincount(owners[kept], minlength=count)
+        starts = sets.searchsorted(list(stops)).tolist() if stops else ()
+        for (stop, k, scale, coeffs), start in zip(stops.values(), starts):
             digits = [int(residues[stop]) % base]
             position, up = stop, parents
             for layer_residues, layer_contents, layer_parents in reversed(trail):
@@ -689,22 +808,49 @@ def decide(pattern_set: PatternSet, level: Union[int, None] = None) -> Decision:
                 scale *= int(layer_contents[position])
                 up = layer_parents
             provenance = tuple(reversed(digits))
-            value = evaluate_at_zero(coeffs, scale, len(provenance), table)
-            return _correlated_decision(table, provenance, value, created, expansions)
-        expansions += residues.size
-        trail.append((residues, contents, parents))
-        kept = np.flatnonzero(accepted)
+            value = evaluate_at_zero(coeffs, scale, len(provenance), tables[k])
+            done = int(expansions[k]) + stop - start + 1
+            decisions[k] = _correlated_decision(
+                tables[k], provenance, value, int(created[k]), done
+            )
+        if not owners.size:
+            # every set of the layer stopped on its first element
+            break
+        expansions += np.bincount(sets, minlength=count)
+        trail.append((residues[tested], contents, None if parents is None else parents[tested]))
+        # a set tested or stopped in the layer that has no child to go on
+        # with has stopped or closed
+        ended = np.zeros(count, dtype=bool)
+        ended[owners] = True
+        ended[owners[kept]] = False
+        if stops:
+            ended[list(stops)] = True
+            kept = kept[~ended[owners[kept]]]
         heads = heads[kept]
         # the classes stride * d + head, class K standing in for 0
         residues = (heads[:, None] + stride * (np.arange(base) + (heads == 0)[:, None])).ravel()
+        sets = owners[kept].repeat(base)
         vectors = children[kept]
         del children
-        source = np.repeat(np.arange(len(kept)), base)
+        source = np.arange(len(kept)).repeat(base)
         parents = kept[source]
-    if created != base * basis.total_rows:
-        raise InternalConsistencyError(
-            f"stored {created} elements for {basis.total_rows} group rows"
-        )
+        (left,) = ended.nonzero()
+        if left.size:
+            classes = (left[:, None] * stride + np.arange(stride)).ravel()
+            held = basis.rows_of(classes).reshape(len(left), stride).sum(axis=1)
+            for k, rows in zip(left.tolist(), held.tolist()):
+                if decisions[k] is None:
+                    decisions[k] = _noncorrelated_decision(
+                        base, modulus, int(created[k]), int(expansions[k]), rows
+                    )
+    return decisions
+
+
+def _noncorrelated_decision(
+    base: int, modulus: int, created: int, expansions: int, rows: int
+) -> Decision:
+    if created != base * rows:
+        raise InternalConsistencyError(f"stored {created} elements for {rows} group rows")
     capacity = 2 * modulus * modulus
     if created > capacity:
         raise InternalConsistencyError(

@@ -169,7 +169,7 @@ class TestCensus:
 
     def test_worker_counts_agree(self):
         # at length 1 there are 2 candidates, so 8 workers get 2 chunks;
-        # 3 workers deal the 128 length-3 masks to 12 chunks unevenly
+        # 3 workers deal the 128 length-3 masks to 3 chunks unevenly
         for length, workers in ((3, 4), (3, 3), (1, 8)):
             lone = census(2, length, "all", workers=1, keep_sets=True)
             multi = census(2, length, "all", workers=workers, keep_sets=True)
@@ -209,7 +209,7 @@ class TestEquivalenceSweep:
         assert report.mismatches == []
 
     def test_worker_counts_agree(self):
-        # 3 workers deal the 256 masks to 12 chunks unevenly
+        # 3 workers deal the 256 masks to 3 chunks unevenly
         lone = check_theorem_c(4, workers=1).to_record()
         for workers in (2, 3, 4):
             assert check_theorem_c(4, workers=workers).to_record() == lone

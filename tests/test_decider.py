@@ -1,6 +1,7 @@
 import json
 import random
 from collections import defaultdict, deque
+from itertools import product
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -63,7 +64,12 @@ def _expand_one(element, table):
     stride = modulus // base
     q = element.residue
     children, contents = expand_element(
-        np.array([q]), np.array([element.coeffs], dtype=object), np.array([0]), table
+        np.array([q]),
+        np.array([0]),
+        np.array([element.coeffs], dtype=object),
+        np.array([0]),
+        decider._ratios([table]),
+        base,
     )
     coeffs = tuple(int(x) for x in children[0])
     scale = element.scale * int(contents[0])
@@ -693,7 +699,12 @@ class TestExpansion:
             for picks in (small, range(len(rows))):
                 block = np.array([rows[i] for i in picks], dtype=object)
                 children, contents = expand_element(
-                    np.array([residues[i] for i in picks]), block, np.arange(len(picks)), table
+                    np.array([residues[i] for i in picks]),
+                    np.zeros(len(picks), dtype=np.int64),
+                    block,
+                    np.arange(len(picks)),
+                    decider._ratios([table]),
+                    base,
                 )
                 assert len(children) == len(contents) == len(picks)
                 for i, child, content in zip(picks, children, contents):
@@ -718,9 +729,11 @@ class TestExpansion:
             chosen = [i for i in range(len(source)) if source[i] in picks]
             children, contents = expand_element(
                 np.array([residues[i] for i in chosen]),
+                np.zeros(len(chosen), dtype=np.int64),
                 vectors,
                 np.array([picks.index(source[i]) for i in chosen]),
-                table,
+                decider._ratios([table]),
+                base,
             )
             assert children.dtype == (np.int64 if 1 not in picks else object)
             for i, child, content in zip(chosen, children, contents):
@@ -996,7 +1009,9 @@ class TestCapacity:
     def test_group_rows_account_for_every_element(self, monkeypatch):
         # each stored group row stands for one element in each of the
         # base classes of its group; a count that disagrees is an error
-        monkeypatch.setattr(ResidueBasis, "total_rows", property(lambda basis: 1))
+        monkeypatch.setattr(
+            ResidueBasis, "rows_of", lambda basis, residues: np.ones(len(residues), dtype=int)
+        )
         with pytest.raises(InternalConsistencyError):
             decide(ps("11"))
 
@@ -1252,3 +1267,170 @@ class TestLayeredClosure:
             if not decision.noncorrelated and decision.expansions > 16:
                 stopped_late += created_in_layer > 0
         assert stopped_late >= 30
+
+
+def _census_three():
+    # every candidate of census(2, 3)
+    for mask in range(1 << 7):
+        yield PatternSet.from_mask(2, 3, mask << 1)
+
+
+def _theorem_c_four_pool():
+    # every candidate of check_theorem_c(4): K runs from 2 to 16
+    pool = ["1"] + ["1" + "".join(u) + "1" for mid in range(3) for u in product("01", repeat=mid)]
+    for mask in range(1 << len(pool)):
+        yield ps(",".join(w for b, w in enumerate(pool) if mask >> b & 1))
+
+
+def _binary_five_sample():
+    rng = random.Random(517)
+    for _ in range(60):
+        yield PatternSet.from_mask(2, 5, rng.randrange(1 << 31) << 1)
+    yield saturated_family_from_hadamard(sylvester_hadamard(2), 5)
+
+
+def _base_four_three():
+    rng = random.Random(43)
+    yield saturated_family_from_hadamard(sylvester_hadamard(4), 3)
+    yield random_hadamard_family(4, 3, random.Random(3))
+    for _ in range(6):
+        yield PatternSet.from_mask(4, 3, rng.randrange(1 << 63) << 1)
+
+
+@pytest.fixture
+def batched(monkeypatch):
+    """Decide sets with decide_many, recording the rows each set's groups held at the end of its batch.
+
+    Returns a function that takes the batches, lists of sets, and
+    returns each set's decision and, for a set whose closure ran
+    layers, the rows of its groups, keyed by the set's position in the
+    concatenated batches.
+    """
+    made = []
+
+    class Recorded(ResidueBasis):
+        def __init__(self, classes, width):
+            super().__init__(classes, width)
+            made.append(self)
+
+    monkeypatch.setattr(decider, "ResidueBasis", Recorded)
+    layers, tables_of = decider._layers, {}
+
+    def recorded(tables, ratios, seed):
+        decisions = layers(tables, ratios, seed)
+        basis = made[-1]
+        stride = basis.width // 2
+        for k, table in enumerate(tables):
+            classes = range(k * stride, (k + 1) * stride)
+            rows = [basis.stored_rows(c) for c in classes]
+            tables_of[id(table)] = (table, rows)
+        return decisions
+
+    monkeypatch.setattr(decider, "_layers", recorded)
+    made_tables = []
+    monkeypatch.setattr(
+        decider, "bootstrap", lambda s, level=None: made_tables.append(bootstrap(s, level)) or made_tables[-1]
+    )
+
+    def run(batches):
+        decisions, rows = [], []
+        for batch in batches:
+            made_tables.clear()
+            tables_of.clear()
+            decisions.extend(decider.decide_many(batch))
+            # decide_many bootstraps each (base, K) group in input order
+            keyed = {}
+            for s in batch:
+                keyed.setdefault((s.base, s.base**s.length), []).append(s)
+            order = [s for group in keyed.values() for s in group]
+            found = {id(s): tables_of.get(id(t), (None, None))[1] for s, t in zip(order, made_tables)}
+            rows.extend(found[id(s)] for s in batch)
+        return decisions, rows
+
+    return run
+
+
+class TestBatchedClosure:
+    @pytest.mark.parametrize(
+        "family",
+        [_census_three, _theorem_c_four_pool, _binary_five_sample, _base_three_two_digit, _base_four_three],
+        ids=lambda family: family.__name__.strip("_"),
+    )
+    def test_batches_match_per_element_loop(self, family, batched):
+        sets = list(family())
+        expected = []
+        for a in sets:
+            decision, basis, _ = _decide_per_element(a)
+            stride = basis.width // 2
+            rows = [basis.stored_rows(g) for g in range(stride)]
+            expected.append((json.dumps(decision.to_record()), rows))
+        shuffled = list(range(len(sets)))
+        random.Random(7).shuffle(shuffled)
+        runs = [[sets[lo : lo + size] for lo in range(0, len(sets), size)] for size in (1, 2, 7)]
+        runs += [[sets], [[sets[i] for i in shuffled]]]
+        for run, batches in enumerate(runs):
+            decisions, rows = batched(batches)
+            order = shuffled if run == len(runs) - 1 else range(len(sets))
+            for i, decision, held in zip(order, decisions, rows):
+                record, oracle_rows = expected[i]
+                assert json.dumps(decision.to_record()) == record, (run, str(sets[i]))
+                if held is None:
+                    # stopped on its first step, before its groups took a row
+                    assert decision.expansions == 1
+                else:
+                    assert held == oracle_rows, (run, str(sets[i]))
+
+    def test_python_int_groups_stay_in_their_set(self, batched, monkeypatch):
+        # merges past the int64 bound send this family's groups to Python
+        # ints; in a batch with K = 64 base-4 sets whose groups stay on
+        # int64 when decided alone, only its own classes run exact
+        moved = _count_exact_runs(monkeypatch)
+        wide = random_hadamard_family(4, 3, random.Random(416))
+        others = list(_base_four_three())
+        del others[1]
+        for a in others:
+            decide(a)
+        assert not moved
+        batch = others[:2] + [wide] + others[2:]
+        layered = []
+        layers = decider._layers
+        monkeypatch.setattr(
+            decider, "_layers", lambda tables, *rest: layered.append(tables) or layers(tables, *rest)
+        )
+        decisions, _ = batched([batch])
+        exact = set(moved)
+        for a, decision in zip(batch, decisions):
+            assert decision.to_record() == _decide_per_element(a)[0].to_record(), str(a)
+        (tables,) = layered
+        (k,) = [k for k, t in enumerate(tables) if t.factor == bootstrap(wide).factor]
+        stride = 16
+        assert exact and {c // stride for c in exact} == {k}
+
+    def test_layer_of_several_sets(self):
+        # one step of a layer that mixes sets signs each element by its own set
+        rng = random.Random(47)
+        sets = [PatternSet.from_mask(2, 3, rng.randrange(1 << 7) << 1) for _ in range(5)]
+        tables = [bootstrap(a) for a in sets]
+        K = 8
+        rows = [_compressed(rng, 8) for _ in range(30)]
+        owners = sorted(rng.randrange(len(sets)) for _ in rows)
+        residues = [rng.randint(1, K) for _ in rows]
+        children, contents = expand_element(
+            np.array(residues),
+            np.array(owners),
+            np.array(rows, dtype=object),
+            np.arange(len(rows)),
+            decider._ratios(tables),
+            2,
+        )
+        for i, child, content in zip(range(len(rows)), children, contents):
+            _, coeffs, scale, _, _ = _expand_one(BasisElement(residues[i], rows[i], 1, ()), tables[owners[i]])
+            assert tuple(int(x) for x in child) == coeffs
+            assert int(content) == scale
+
+    def test_decide_many_keeps_input_order_and_rejects_low_levels(self):
+        sets = [ps("1,101,111"), ps("1", 3), ps("11"), ps("0010,0101,1001,1011"), ps("")]
+        assert decider.decide_many(sets) == [decide(a) for a in sets]
+        assert decider.decide_many([]) == []
+        with pytest.raises(ValueError):
+            decider.decide_many([ps("11"), ps("101")], level=2)
