@@ -270,7 +270,8 @@ def _sweep_chunk(args: tuple) -> tuple[list, float]:
     outcomes: list = []
     seconds = 0.0
     for lo in range(0, len(masks), size):
-        candidates = [PatternSet(base, tuple(_subset(pool, mask))) for mask in masks[lo : lo + size]]
+        batch = masks[lo : lo + size]
+        candidates = [PatternSet(base, tuple(_subset(pool, mask))) for mask in batch]
         started = time.perf_counter()
         decisions = decide_many(candidates)
         seconds += time.perf_counter() - started
@@ -278,8 +279,10 @@ def _sweep_chunk(args: tuple) -> tuple[list, float]:
     return outcomes, seconds
 
 
-def _sweep(visit: Callable[[PatternSet, Decision], tuple], pool_args: tuple, workers: int) -> tuple[list, float]:
-    """visit(candidate, decision) for every subset of a census pool, in mask order, and the decide seconds.
+def _sweep(
+    visit: Callable[[PatternSet, Decision], tuple], pool_args: tuple, workers: int
+) -> tuple[list, float]:
+    """visit(candidate, decision) for every subset of a census pool, in mask order; decide seconds.
 
     The masks are dealt out to one chunk per worker, chunk i taking
     masks i, i + chunks, and so on, so that the costly noncorrelated

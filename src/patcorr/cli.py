@@ -36,7 +36,7 @@ MAX_MODULUS = 256
 # Largest --workers of census and verify, and largest census family.
 # Every pool word doubles the family, so 2**16 candidates means --length
 # at most 4 for "all" and 5 for "self-invariant"; the largest, the
-# self-invariant length-5 family, takes about 53 s with 2 workers on a
+# self-invariant length-5 family, takes about 5 s with 2 workers on a
 # 2-vCPU machine.
 MAX_WORKERS = 64
 MAX_CANDIDATES = 1 << 16

@@ -672,7 +672,7 @@ def decide(pattern_set: PatternSet, level: Union[int, None] = None) -> Decision:
 
 
 def batch_size(base: int, modulus: int) -> int:
-    """How many closures of one (base, K) run in lockstep: the entry budget over the most rows one stores."""
+    """How many closures of one (base, K) run in lockstep: the budget over one set's most row entries."""
     stride = modulus // base
     return max(1, _BATCH_ENTRIES // (stride * (2 * stride) ** 2))
 
@@ -729,7 +729,9 @@ def _closure(tables: Sequence[CorrelationTable]) -> list[Decision]:
     return decisions
 
 
-def _layers(tables: Sequence[CorrelationTable], ratios: np.ndarray, seed: np.ndarray) -> list[Decision]:
+def _layers(
+    tables: Sequence[CorrelationTable], ratios: np.ndarray, seed: np.ndarray
+) -> list[Decision]:
     """The breadth-first closures of tables of one (base, K), in lockstep; their decisions in order.
 
     A layer holds the elements of every set still open, set by set, each

@@ -2,8 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines as they
 appear; without -s they still show up in captured output on failure.
-The two family sweeps are expensive (about a minute and about two
-minutes on one core) and shared across criteria through fixtures.
+The two family sweeps are the costliest parts (about 5 s and about 9 s
+on one core) and are shared across criteria through fixtures.
 """
 
 import itertools
