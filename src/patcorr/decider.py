@@ -41,26 +41,28 @@ The closure runs breadth first and takes one layer at a time.  The
 layer's vectors are the rows of one int64 block, and one step builds
 every child: a gather into the step layout, a product with each
 element's int8 signs, read off the sequence ratio one chunk of elements
-at a time, the carry fold by digit, and one gcd per row.
-Only the children of classes below the base reach the class of 0.
-Their values there come first, and the first nonzero one in queue order
-stops the closure; only the children before it are span-tested, so the
-counters are those of a closure that takes one element at a time.  The
-layer's children are then span-tested in one call, each against its
-group in layer order, and the accepted ones, in layer order, make the
-next layer.
+at a time, the carry fold by digit, and one gcd per row.  Only the
+children of classes below the base reach the class of 0.  Their values
+there, read off the step's rows, come first, and the first nonzero one
+in queue order stops the closure; only the children before it are
+span-tested, so the counters are those of a closure that takes one
+element at a time.  The layer's children are then span-tested in one
+call, each against its group in layer order, and the accepted ones, in
+layer order, make the next layer.
 
 decide_many runs the closures of many sets of one base and K in
 lockstep, and decide is its closure on a batch of one.  Each set's queue
-starts with the seed on class 1, whose value at 0 decides most sets:
-those stop before any layer is built.  The others share each layer, set
-by set, so that every set keeps its own queue order, and one basis,
-whose class k * stride + g is carry group g of the batch's set k: each
-layer takes one step call and one span-test call for all of them.  A
-set stops at its own first nonzero value, after span-testing only its
-elements before it, and leaves the batch when it stops or closes.  A
-batch holds batch_size sets, so the tables and rows of one batch at
-most are alive at a time.
+starts with the seed on class 1, whose value at 0 decides most sets.
+That child's source entries are the signs h(r) h(r + 1), so it is read
+off the ratio in Python ints, and a set that stops there makes no numpy
+call and builds no layer.  The others share each layer, set by set, so
+that every set keeps its own queue order, and one basis, whose class
+k * stride + g is carry group g of the batch's set k: each layer takes
+one step call and one span-test call for all of them.  A set stops at
+its own first nonzero value, after span-testing only its elements
+before it, and leaves the batch when it stops or closes.  A batch holds
+batch_size sets, so the tables and rows of one batch at most are alive
+at a time.
 
 Exact arithmetic throughout: vectors hold integers, and an element's
 scale is an integer numerator over base**(digits consumed), while the
@@ -553,7 +555,11 @@ _ZERO = Fraction(0)
 
 
 def evaluate_at_zero(
-    coeffs: Sequence[int], scale: int, depth: int, table: CorrelationTable
+    coeffs: Sequence[int],
+    scale: int,
+    depth: int,
+    table: CorrelationTable,
+    total: Optional[int] = None,
 ) -> Fraction:
     """Value of a compressed form on the class holding 0 alone.
 
@@ -562,9 +568,11 @@ def evaluate_at_zero(
     base times its plain sum.  The high half, repeated base times, pairs
     with the shift-1 numerators, which share one denominator: entry a
     meets the sum of the numerators on the classes a mod K / base.  A
-    Fraction is made only for a nonzero value.
+    Fraction is made only for a nonzero value.  A caller that already
+    holds _total_at_zero(coeffs, table) passes it as total.
     """
-    total = _total_at_zero(coeffs, table)
+    if total is None:
+        total = _total_at_zero(coeffs, table)
     if not total:
         return _ZERO
     return Fraction(scale * total, table.denominator * table.base**depth)
@@ -704,34 +712,46 @@ def _closure(tables: Sequence[CorrelationTable]) -> list[Decision]:
     """The closures of tables of one (base, K), run in lockstep; their decisions in order.
 
     Each set's queue starts with the seed on class 1, whose child meets
-    the class of 0: most sets stop there, before any layer is built.
-    The others run their layers together.
+    the class of 0: most sets stop there.  That child comes straight from
+    the set's ratio in Python ints (_first_step), so a set that stops
+    there makes no numpy call.  The others run their layers together.
     """
     base = tables[0].base
     modulus = tables[0].modulus
-    stride = modulus // base
-    seed = np.array([(1,) * stride + (0,) * stride])
-    ratios = _ratios(tables)
-    zero = np.zeros(len(tables), dtype=np.int64)
-    met, contents = expand_element(zero + 1, np.arange(len(tables)), seed, zero, ratios, base)
     decisions: list = []
-    for table, content, coeffs in zip(tables, contents.tolist(), met.tolist()):
+    for table in tables:
         decision = None
-        if _total_at_zero(coeffs, table):
-            value = evaluate_at_zero(coeffs, content, 1, table)
+        total = _total_at_zero(_first_step(table), table)
+        if total:
+            # the first child is primitive, so its scale is 1
+            value = Fraction(total, table.denominator * base)
             decision = _correlated_decision(table, (1,), value, modulus, 1)
         decisions.append(decision)
     going = [k for k, decision in enumerate(decisions) if decision is None]
     if going:
-        layered = _layers([tables[k] for k in going], ratios[going], seed)
-        for k, decision in zip(going, layered):
+        for k, decision in zip(going, _layers([tables[k] for k in going])):
             decisions[k] = decision
     return decisions
 
 
-def _layers(
-    tables: Sequence[CorrelationTable], ratios: np.ndarray, seed: np.ndarray
-) -> list[Decision]:
+def _first_step(table: CorrelationTable) -> list[int]:
+    """The coefficients of the seed's child on class 1, read off the ratio h.
+
+    The seed is 1 on the low block and 0 on the high one, and class 1
+    consumes the digit 1, so entry r of the step's source is the sign
+    s(r) = h(r) h(r + 1), and only r ending in the digit base - 1
+    carries: low entry i of the child is the sum of s(i * base + j) over
+    j < base - 1, and high entry i is s(i * base + base - 1).  Each high
+    entry is one sign, so the child is primitive: the content that
+    expand_element would divide out is 1.
+    """
+    h, base = table.factor.values, table.base
+    signs = list(map(mul, h, h[1:] + h[:1]))
+    low = map(sum, zip(*(signs[j::base] for j in range(base - 1))))
+    return [*low, *signs[base - 1 :: base]]
+
+
+def _layers(tables: Sequence[CorrelationTable]) -> list[Decision]:
     """The breadth-first closures of tables of one (base, K), in lockstep; their decisions in order.
 
     A layer holds the elements of every set still open, set by set, each
@@ -743,11 +763,13 @@ def _layers(
     modulus = tables[0].modulus
     stride = modulus // base
     count = len(tables)
+    ratios = _ratios(tables)
     decisions: list = [None] * count
     # the classes t of a carry group t % stride hold the same rows, so
     # one row space per group answers for all of them.  Each set tests
     # the child of its seed on class 1, so every group takes the seed,
     # which is primitive, as its first row.
+    seed = np.array([(1,) * stride + (0,) * stride])
     basis = ResidueBasis(count * stride, 2 * stride)
     basis.seed(np.arange(count * stride), seed[0])
     # the layer in queue order: each element's set and class, its vector
@@ -766,24 +788,23 @@ def _layers(
     expansions = np.zeros(count, dtype=np.int64)
     while residues.size:
         heads = residues // base
+        children, contents = expand_element(residues, sets, vectors, source, ratios, base)
         # only the few children of classes below the base meet the class
         # of 0, and the first nonzero value of a set among them stops its
-        # closure: stops maps the set to its stop's place, the set, the
-        # child's content and its coefficients
+        # closure: stops maps the set to its stop's place, the child's
+        # content, its coefficients and their total at 0
         stops: dict[int, tuple] = {}
         near = (heads == 0).nonzero()[0]
         if not trail:
             # each set's seed on class 1 is zero at 0, or it would not be here
             near = near[residues[near] > 1]
-        if near.size:
-            owners = sets[near]
-            met, contents = expand_element(
-                residues[near], owners, vectors, source[near], ratios, base
-            )
-            for stop in zip(near.tolist(), owners.tolist(), contents.tolist(), met.tolist()):
-                k = stop[1]
-                if k not in stops and _total_at_zero(stop[3], tables[k]):
-                    stops[k] = stop
+        for stop, k, content, coeffs in zip(
+            near.tolist(), sets[near].tolist(), contents[near].tolist(), children[near].tolist()
+        ):
+            if k not in stops:
+                total = _total_at_zero(coeffs, tables[k])
+                if total:
+                    stops[k] = stop, content, coeffs, total
         # a set span-tests only its elements before its stop, and none
         # when it stops on its first
         tested = slice(None)
@@ -793,15 +814,12 @@ def _layers(
             (tested,) = (np.arange(len(residues)) < limit[sets]).nonzero()
         owners = sets[tested]
         if owners.size:
-            children, contents = expand_element(
-                residues[tested], owners, vectors, source[tested], ratios, base
-            )
-            heads = heads[tested]
+            children, contents, heads = children[tested], contents[tested], heads[tested]
             accepted = basis.insert_layer(owners * stride + heads % stride, children)
             (kept,) = accepted.nonzero()
             created += base * np.bincount(owners[kept], minlength=count)
         starts = sets.searchsorted(list(stops)).tolist() if stops else ()
-        for (stop, k, scale, coeffs), start in zip(stops.values(), starts):
+        for (k, (stop, scale, coeffs, total)), start in zip(stops.items(), starts):
             digits = [int(residues[stop]) % base]
             position, up = stop, parents
             for layer_residues, layer_contents, layer_parents in reversed(trail):
@@ -810,7 +828,7 @@ def _layers(
                 scale *= int(layer_contents[position])
                 up = layer_parents
             provenance = tuple(reversed(digits))
-            value = evaluate_at_zero(coeffs, scale, len(provenance), tables[k])
+            value = evaluate_at_zero(coeffs, scale, len(provenance), tables[k], total)
             done = int(expansions[k]) + stop - start + 1
             decisions[k] = _correlated_decision(
                 tables[k], provenance, value, int(created[k]), done

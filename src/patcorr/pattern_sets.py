@@ -129,9 +129,9 @@ class PeriodicFactor:
         object.__setattr__(self, "values", values)
         if not values:
             raise ValueError("a periodic factor needs at least one value")
-        for v in values:
-            if v not in (-1, 1):
-                raise ValueError(f"periodic factor values must be +-1, got {v!r}")
+        if not {-1, 1}.issuperset(values):
+            bad = next(v for v in values if v not in (-1, 1))
+            raise ValueError(f"periodic factor values must be +-1, got {bad!r}")
 
     @property
     def period(self) -> int:

@@ -1018,19 +1018,22 @@ class TestCapacity:
 
 class TestWitnessCrossCheck:
     @pytest.mark.parametrize(
-        "text, shift, expansions",
+        "text, base, shift, value, expansions",
         [
-            # witness on the first step
-            ("1", 1, 1),
+            # witnesses on the first step, read off the ratio
+            pytest.param("1", 2, 1, F(-1, 3), 1, id="1-1-1"),
+            pytest.param("12", 3, 1, F(5, 9), 1, id="12-1-1-base3"),
+            pytest.param("13", 4, 1, F(2, 3), 1, id="13-1-1-base4"),
             # a length-4 set whose witness comes in the second layer
-            ("0010,0101,1001,1011", 2, 19),
+            pytest.param("0010,0101,1001,1011", 2, 2, F(1, 16), 19, id="0010,0101,1001,1011-2-19"),
         ],
     )
-    def test_wrong_correlation_is_caught(self, text, shift, expansions, monkeypatch):
+    def test_wrong_correlation_is_caught(self, text, base, shift, value, expansions, monkeypatch):
         # the form value at 0 must equal K times the correlation the
         # table computes; a table that doubles it fails the check
-        decision = decide(ps(text))
-        assert (decision.witness_shift, decision.expansions) == (shift, expansions)
+        decision = decide(ps(text, base))
+        assert (decision.witness_shift, decision.witness_value) == (shift, value)
+        assert decision.expansions == expansions
         correlation = decider.CorrelationTable.correlation
 
         def doubled(table, m):
@@ -1038,7 +1041,7 @@ class TestWitnessCrossCheck:
 
         monkeypatch.setattr(decider.CorrelationTable, "correlation", doubled)
         with pytest.raises(InternalConsistencyError):
-            decide(ps(text))
+            decide(ps(text, base))
 
 
 def _decide_per_class(pattern_set):
@@ -1316,8 +1319,8 @@ def batched(monkeypatch):
     monkeypatch.setattr(decider, "ResidueBasis", Recorded)
     layers, tables_of = decider._layers, {}
 
-    def recorded(tables, ratios, seed):
-        decisions = layers(tables, ratios, seed)
+    def recorded(tables):
+        decisions = layers(tables)
         basis = made[-1]
         stride = basis.width // 2
         for k, table in enumerate(tables):
@@ -1434,3 +1437,53 @@ class TestBatchedClosure:
         assert decider.decide_many([]) == []
         with pytest.raises(ValueError):
             decider.decide_many([ps("11"), ps("101")], level=2)
+
+
+def _first_step_sets():
+    # sets of bases 2, 3 and 4 at levels from their length up to length + 2
+    rng = random.Random(61)
+    for base, length, count in ((2, 1, 1), (2, 2, 3), (2, 3, 8), (2, 4, 8), (3, 1, 2), (3, 2, 8), (4, 1, 3), (4, 2, 6)):
+        for _ in range(count):
+            a = PatternSet.from_mask(base, length, rng.randrange(1, 1 << (base**length - 1)) << 1)
+            for level in range(a.length, a.length + 3):
+                yield a, level
+
+
+class TestFirstStep:
+    def test_matches_the_step_on_the_seed(self):
+        # the child of the seed on class 1, read off the ratio, is the
+        # one the closure step makes, whose content is 1; its value at 0
+        # is K times the correlation at shift 1
+        seen = set()
+        for a, level in _first_step_sets():
+            table = bootstrap(a, level)
+            base, K = table.base, table.modulus
+            stride = K // base
+            children, contents = expand_element(
+                np.array([1]),
+                np.array([0]),
+                np.array([(1,) * stride + (0,) * stride]),
+                np.array([0]),
+                decider._ratios([table]),
+                base,
+            )
+            coeffs = decider._first_step(table)
+            assert coeffs == children[0].tolist() and contents.tolist() == [1], (str(a), level)
+            assert evaluate_at_zero(coeffs, 1, 1, table) == K * table.correlation(1)
+            seen.add((base, level - a.length))
+        assert seen == {(b, extra) for b in (2, 3, 4) for extra in range(3)}
+
+    def test_sets_settled_there_make_no_numpy_step(self, monkeypatch):
+        sets = [ps("1"), ps("12", 3), ps("13", 4)]
+        sets += [PatternSet.from_mask(2, 4, mask << 1) for mask in range(1, 60)]
+        expected = [decide(a) for a in sets]
+        settled = [(a, d) for a, d in zip(sets, expected) if d.expansions == 1]
+        assert len(settled) > 40
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a numpy step for a set settled at its first step")
+
+        for name in ("expand_element", "_ratios", "ResidueBasis"):
+            monkeypatch.setattr(decider, name, refused)
+        assert decide(ps("1")) == expected[0]
+        assert decider.decide_many([a for a, _ in settled]) == [d for _, d in settled]

@@ -216,6 +216,12 @@ class TestPeriodicFactor:
         assert str(f) == "+-"
         assert f(0) == 1 and f(1) == -1 and f(2) == 1
 
+    @pytest.mark.parametrize("values", [(0,), (2,), (1, -1, 0, 1), (-1, 2, 1)])
+    def test_rejects_values_other_than_signs(self, values):
+        bad = next(v for v in values if v not in (-1, 1))
+        with pytest.raises(ValueError, match=f"got {bad}$"):
+            PeriodicFactor(2, values)
+
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             PeriodicFactor.parse("+0", 2)
