@@ -1442,7 +1442,8 @@ class TestBatchedClosure:
 def _first_step_sets():
     # sets of bases 2, 3 and 4 at levels from their length up to length + 2
     rng = random.Random(61)
-    for base, length, count in ((2, 1, 1), (2, 2, 3), (2, 3, 8), (2, 4, 8), (3, 1, 2), (3, 2, 8), (4, 1, 3), (4, 2, 6)):
+    counts = {(2, 1): 1, (2, 2): 3, (2, 3): 8, (2, 4): 8, (3, 1): 2, (3, 2): 8, (4, 1): 3, (4, 2): 6}
+    for (base, length), count in counts.items():
         for _ in range(count):
             a = PatternSet.from_mask(base, length, rng.randrange(1, 1 << (base**length - 1)) << 1)
             for level in range(a.length, a.length + 3):
