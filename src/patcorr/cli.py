@@ -30,7 +30,7 @@ from .suites import SUITE_NAMES, run_suite
 # Largest operating modulus base**level a set command accepts: binary
 # length 8.  Decision time and memory set the limit, not the tables
 # (bootstrap takes about 0.5 ms at K = 512): a saturated binary length-8
-# decision takes 6.4-8.5 s and 159 MB on a 2-vCPU machine, and each
+# decision takes 8.0-9.2 s and 150 MB on a 2-vCPU machine, and each
 # doubling of K multiplies the decision time by 7.5 to 9.5.
 MAX_MODULUS = 256
 # Largest --workers of census and verify, and largest census family.

@@ -163,18 +163,19 @@ _BATCH_ENTRIES = 1 << 19
 class ResidueBasis:
     """Per-class integer row spaces kept in reduced echelon form.
 
-    A class is any index in [0, classes]; decide uses index g for the
+    A class is any index in [0, classes); decide uses index g for the
     carry group g of its residue classes.  Rows are primitive (content
     1, positive pivot) and each row is zero at every other row's pivot
     column, so membership in the span is a single reduction pass and the
     stored shape is canonical.
 
     Each class orders its columns so that the last F, its region, hold
-    all its free columns, those that are no row's pivot; F is the most
-    free columns of a class with rows, rounded up to a multiple of 8.  A
-    row is stored as its pivot column, its pivot value and its entries
-    in the region, where it holds its pivot value at its own pivot and 0
-    at the others; stored_rows rebuilds the full rows.
+    all its free columns, those that are no row's pivot.  F is the most
+    free columns of a class, rounded up to a multiple of 8, so it is the
+    width while a class is empty and shrinks only once every class holds
+    a row.  A row is stored as its pivot column, its pivot value and its
+    entries in the region, where it holds its pivot value at its own
+    pivot and 0 at the others; stored_rows rebuilds the full rows.
 
     insert_layer tests a layer of vectors, each bound for one class: a
     vector is accepted exactly when it lies outside the span of its
@@ -190,33 +191,25 @@ class ResidueBasis:
         if classes < 1 or width < 1:
             raise ValueError("need at least one class and a positive width")
         self._width = width
-        # classes + 1 slots, so that callers may number their classes
-        # from 0 or from 1.  Row i of class c has pivot column
-        # _pivots[c, i] and pivot value _values[c, i], -1 and 1 past its
-        # rows, and its region entries are _rows[i, c, :_free]; the three
-        # grow with the most rows of a class.  A wide class holds an entry
-        # past the int64 bound, and then the rows are Python ints.
-        size, planes = classes + 1, min(width, 8)
-        self._counts = np.zeros(size, dtype=np.int64)
-        self._columns = np.arange(width)[None, :].repeat(size, axis=0)
-        self._pivots = np.full((size, planes), -1)
-        self._values = np.ones((size, planes), dtype=np.int64)
-        self._rows = np.zeros((planes, size, width), dtype=np.int64)
+        # Row i of class c has pivot column _pivots[c, i] and pivot value
+        # _values[c, i], -1 and 1 past its rows, and its region entries
+        # are _rows[i, c, :_free]; the three grow with the most rows of a
+        # class.  A wide class holds an entry past the int64 bound, and
+        # then the rows are Python ints.
+        planes = min(width, 8)
+        self._counts = np.zeros(classes, dtype=np.int64)
+        self._columns = np.arange(width)[None, :].repeat(classes, axis=0)
+        self._pivots = np.full((classes, planes), -1)
+        self._values = np.ones((classes, planes), dtype=np.int64)
+        self._rows = np.zeros((planes, classes, width), dtype=np.int64)
         self._free = width
-        self._wide = np.zeros(size, dtype=bool)
+        self._wide = np.zeros(classes, dtype=bool)
         # the most rows of a class
         self._used = 0
 
     @property
     def width(self) -> int:
         return self._width
-
-    def rows_in(self, residue: int) -> int:
-        return int(self._counts[residue])
-
-    @property
-    def total_rows(self) -> int:
-        return int(self._counts.sum())
 
     def stored_rows(self, residue: int) -> list[tuple[int, tuple[int, ...]]]:
         """The (pivot column, row) pairs of one class, in pivot order."""
@@ -229,7 +222,7 @@ class ResidueBasis:
         return [(int(pivots[i]), tuple(rows[i].tolist())) for i in np.argsort(pivots)]
 
     def _block(self, vectors: Vectors) -> np.ndarray:
-        """The vectors as a 2-D array: int64 when every entry fits the bound, else Python ints."""
+        """The vectors as a 2-D array: an int64 one as it is, others as _int64_if makes them."""
         if isinstance(vectors, np.ndarray):
             if vectors.ndim != 2 or vectors.shape[1] != self._width:
                 raise ValueError(f"vectors of width {self._width} expected, got {vectors.shape}")
@@ -240,20 +233,7 @@ class ResidueBasis:
         else:
             vectors = np.array([[int(x) for x in v] for v in vectors], dtype=object)
             vectors = vectors.reshape(-1, self._width)
-        if vectors.dtype == object and not (np.abs(vectors) >= _INT64_SAFE).any():
-            vectors = vectors.astype(np.int64)
-        return vectors
-
-    def contains(self, residue: int, vector: Sequence[int]) -> bool:
-        """Whether the vector already lies in the span stored for a class."""
-        vectors = self._block([vector])
-        if not self._counts[residue]:
-            return not vectors.any()
-        zero = np.zeros(1, dtype=np.int64)
-        for exact in (bool(self._wide[residue]) or vectors.dtype == object, True):
-            work, failed = self._reduced([residue], zero, zero, vectors, zero, exact, self._used)
-            if not failed[0]:
-                return not work[0, -2].any()
+        return _int64_if(vectors, 1)
 
     def seed(self, residues: Sequence[int], row: Sequence[int]) -> None:
         """Store a primitive row, pivot positive, as the first row of each empty class given.
@@ -267,7 +247,6 @@ class ResidueBasis:
         pivot = next((j for j, x in enumerate(row) if x), None)
         if pivot is None or row[pivot] < 0 or gcd(*row) != 1 or self._counts[residues].any():
             raise ValueError("a seed must be primitive with a positive pivot, its classes empty")
-        self._widen(self._width)
         self._used = max(self._used, 1)
         if max(map(abs, row)) >= _INT64_SAFE:
             self._wide[residues] = True
@@ -285,10 +264,6 @@ class ResidueBasis:
     def insert(self, residue: int, vector: Sequence[int]) -> bool:
         """Insert a vector into a class if it lies outside the span; whether it did."""
         return bool(self.insert_layer([residue], [vector])[0])
-
-    def insert_block(self, residue: int, vectors: Vectors) -> list[bool]:
-        """Insert vectors in order into one class; for each, whether it enlarged the span."""
-        return self.insert_layer([residue] * len(vectors), vectors).tolist()
 
     def insert_layer(self, groups: Sequence[int], vectors: Vectors) -> np.ndarray:
         """Test vectors[i] against class groups[i], and store each vector that is independent.
@@ -313,10 +288,7 @@ class ResidueBasis:
             exact &= tested
         accepted, (fast,) = np.zeros(len(order), dtype=bool), np.nonzero(tested & ~exact)
         layer = ordered, slots, order, vectors, accepted
-        tall, width = self._used, self._width
-        # an empty class needs every column in its region
-        if self._free < width and not self._counts[tested].all():
-            self._widen(width)
+        tall = self._used
         # a chunk's arrays are (classes, tall + deep + 1, 2 + F) and (classes, deep, tall)
         deep = int(sizes.max())
         size = max(1, _SPAN_ENTRIES // ((tall + deep + 1) * (2 + self._free) + deep * tall))
@@ -488,23 +460,11 @@ class ResidueBasis:
             self._values = np.ones((len(values), planes), dtype=values.dtype)
             self._rows[:have], self._pivots[:, :have], self._values[:, :have] = rows, pivots, values
 
-    def _widen(self, free: int) -> None:
-        """Let the region grow to free columns; a row holds its pivot value at its own added one."""
-        width, have = self._width, self._free
-        if free > have:
-            added, rows = self._columns[:, width - free : width - have], slice(self._used)
-            self._rows[rows, :, free - have : free] = self._rows[rows, :, :have].copy()
-            own = self._pivots.T[rows, :, None] == added
-            self._rows[rows, :, : free - have] = own * self._values.T[rows, :, None]
-            self._free = free
-
     def _compact(self) -> None:
         """Drop the region's pivot columns past rounding, in place, a few rows at a time."""
         width, counts, have = self._width, self._counts, self._free
-        # the class with the fewest rows has the most free columns
-        free = have
-        if _rounded(width - self._used) < have:
-            free = min(_rounded(width - int(counts.min(where=counts > 0, initial=width))), have)
+        # the class with the fewest rows has the most free columns, all while it is empty
+        free = min(_rounded(width - int(counts.min())), have)
         if free < have:
             classes = np.arange(len(counts))[:, None]
             # the region's pivot columns go first, so that its last free ones
@@ -716,15 +676,15 @@ def _closure(tables: Sequence[CorrelationTable]) -> list[Decision]:
     the set's ratio in Python ints (_first_step), so a set that stops
     there makes no numpy call.  The others run their layers together.
     """
-    base = tables[0].base
     modulus = tables[0].modulus
     decisions: list = []
     for table in tables:
         decision = None
-        total = _total_at_zero(_first_step(table), table)
+        coeffs = _first_step(table)
+        total = _total_at_zero(coeffs, table)
         if total:
             # the first child is primitive, so its scale is 1
-            value = Fraction(total, table.denominator * base)
+            value = evaluate_at_zero(coeffs, 1, 1, table, total)
             decision = _correlated_decision(table, (1,), value, modulus, 1)
         decisions.append(decision)
     going = [k for k, decision in enumerate(decisions) if decision is None]

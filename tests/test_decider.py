@@ -163,11 +163,16 @@ def _spiked(rng, width, spike, after=20):
     return make
 
 
+def _holds(basis, cls, vec):
+    # whether the vector lies in the span of a class's stored rows, by the
+    # rational oracle
+    return _in_span([row for _, row in basis.stored_rows(cls)], vec)
+
+
 def _check_against_rational(basis, rng, classes, inserts, make):
-    stored = {c: [] for c in range(classes + 1)}
-    inserted = 0
+    stored = {c: [] for c in range(classes)}
     for _ in range(inserts):
-        cls = rng.randrange(classes + 1)
+        cls = rng.randrange(classes)
         if stored[cls] and rng.random() < 0.3:
             # an element of the span, so that grown classes meet
             # rejections too
@@ -176,17 +181,14 @@ def _check_against_rational(basis, rng, classes, inserts, make):
             vec = tuple(sum(k * x for k, x in zip(coefs, col)) for col in zip(*picks))
         else:
             vec = make()
-        fresh_claimed = not basis.contains(cls, vec)
-        fresh_actual = not _in_span(stored[cls], vec)
-        assert fresh_claimed == fresh_actual, (cls, vec, stored[cls])
+        fresh = not _in_span(stored[cls], vec)
+        assert _holds(basis, cls, vec) != fresh, (cls, vec, stored[cls])
         grew = basis.insert(cls, vec)
-        assert grew == fresh_claimed
+        assert grew == fresh
         if grew:
             stored[cls].append(vec)
-            inserted += 1
-        assert basis.rows_in(cls) == len(stored[cls])
-    assert basis.total_rows == inserted
-    for cls in range(classes + 1):
+        assert basis.rows_of(np.arange(classes)).tolist() == [len(stored[c]) for c in range(classes)]
+    for cls in range(classes):
         assert basis.stored_rows(cls) == _canonical_rows(stored[cls])
     return stored
 
@@ -214,7 +216,7 @@ class TestResidueBasis:
         # count the span tests that run on Python ints
         moved = _count_exact_runs(monkeypatch)
         rng = random.Random(5)
-        classes, width = 3, 6
+        classes, width = 4, 6
         for _ in range(40):
             basis = ResidueBasis(classes, width)
             _check_against_rational(
@@ -225,7 +227,7 @@ class TestResidueBasis:
         # 2**31 and 2**61 fit int64, but their products overflow its
         # bounds; entries near 2**70 do not fit at all.  The last three
         # run some tests on Python ints.  Both keep canonical rows.
-        classes, width = 1, 18
+        classes, width = 2, 18
         for spike in (0, 1 << 31, 1 << 61, 1 << 70):
             moved.clear()
             for _ in range(2):
@@ -262,14 +264,14 @@ class TestResidueBasis:
                     )
                 top = max(abs(x) for v in vectors for x in v)
                 block = np.array(vectors, dtype=np.int64 if top < 1 << 62 else object)
-                grew = blocked.insert_block(0, block)
+                grew = blocked.insert_layer([0] * len(block), block).tolist()
                 blocked_moves = len(moved)
                 assert grew == [single.insert(0, v) for v in vectors]
                 # only the moves of the blocked basis count
                 del moved[blocked_moves:]
                 stored.extend(v for v, g in zip(vectors, grew) if g)
                 assert blocked.stored_rows(0) == single.stored_rows(0)
-            assert blocked.rows_in(0) > GROWN
+            assert len(stored) > GROWN
             assert blocked.stored_rows(0) == _canonical_rows(stored)
             assert bool(moved) == (spike > 0)
 
@@ -323,7 +325,7 @@ class TestResidueBasis:
         for row in rows:
             assert basis.insert(0, row)
         vec = tuple((1 << 31) + 1 if i < GROWN else 0 for i in range(width))
-        assert not basis.contains(0, vec)
+        assert not _holds(basis, 0, vec)
         assert basis.insert(0, vec)
         assert basis.stored_rows(0) == _canonical_rows(rows + [vec])
         # here the reduced vector is -2**64 at x, which int64 would wrap
@@ -334,7 +336,7 @@ class TestResidueBasis:
             row[i], row[x] = 1, 1 << 32
             assert basis.insert(0, tuple(row))
         vec = (1 << 32,) + (0,) * (width - 1)
-        assert not basis.contains(0, vec)
+        assert not _holds(basis, 0, vec)
         assert basis.insert(0, vec)
         # here the first vector of a block reduces within the bound, but
         # its pivot column meets a stored row near 2**41, and clearing it
@@ -352,7 +354,7 @@ class TestResidueBasis:
         for row in rows:
             assert blocked.insert(0, row) and single.insert(0, row)
         assert moved == []
-        grew = blocked.insert_block(0, np.array(block, dtype=np.int64))
+        grew = blocked.insert_layer([0] * 3, np.array(block, dtype=np.int64)).tolist()
         assert moved == [0]
         assert blocked._rows.dtype == np.int64
         assert grew == [single.insert(0, v) for v in block] == [True, True, False]
@@ -363,10 +365,10 @@ class TestResidueBasis:
         moved.clear()
         block = [(1 << 40, 1, 0), (3, 1 << 40, 1)]
         basis = ResidueBasis(1, 3)
-        assert basis.insert_block(0, block) == [True, True]
+        assert basis.insert_layer([0, 0], block).tolist() == [True, True]
         assert moved == [0]
         assert basis.stored_rows(0) == _canonical_rows(block)
-        assert not basis.contains(0, (3, 0, 1))
+        assert not _holds(basis, 0, (3, 0, 1))
         assert not _in_span(block, (3, 0, 1))
 
     def test_pivot_lcm_past_int64_stays_exact(self, monkeypatch):
@@ -384,10 +386,10 @@ class TestResidueBasis:
         for row in rows:
             assert basis.insert(0, row)
         inside = tuple(sum(row[i] for row in rows[:4]) for i in range(width))
-        assert basis.contains(0, inside)
+        assert _holds(basis, 0, inside)
         assert not basis.insert(0, inside)
         fresh = (1,) * width
-        assert not basis.contains(0, fresh)
+        assert not _holds(basis, 0, fresh)
         assert basis.insert(0, fresh)
         assert basis.stored_rows(0) == _canonical_rows(rows + [fresh])
         # here the merges that clear a new pivot column multiply the
@@ -426,14 +428,14 @@ class TestResidueBasis:
         # rational oracle
         moved = _count_exact_runs(monkeypatch)
         rng = random.Random(61)
-        classes, width = 5, 7
+        classes, width = 6, 7
         layered, single = ResidueBasis(classes, width), ResidueBasis(classes, width)
-        stored = {c: [] for c in range(classes + 1)}
+        stored = {c: [] for c in range(classes)}
         spiky = {2, 4}
         for _ in range(30):
             groups, vectors = [], []
             for _ in range(rng.randint(1, 14)):
-                c = rng.randrange(classes + 1)
+                c = rng.randrange(classes)
                 vec = _sparse(rng, width)
                 if c in spiky and rng.random() < 0.3:
                     # one or two spikes: two near 2**40 in one vector make
@@ -447,14 +449,14 @@ class TestResidueBasis:
                 groups.append(c)
                 vectors.append(tuple(vec))
             for c, v in zip(groups, vectors):
-                assert layered.contains(c, v) == _in_span(stored[c], v)
+                assert _holds(layered, c, v) == _in_span(stored[c], v)
             grew = layered.insert_layer(groups, vectors)
             assert grew.tolist() == [single.insert(c, v) for c, v in zip(groups, vectors)]
             for c, v, g in zip(groups, vectors, grew):
                 if g:
                     stored[c].append(v)
-            for c in range(classes + 1):
-                assert layered.rows_in(c) == len(stored[c])
+            assert layered.rows_of(np.arange(classes)).tolist() == [len(stored[c]) for c in range(classes)]
+            for c in range(classes):
                 assert layered.stored_rows(c) == single.stored_rows(c)
                 assert layered.stored_rows(c) == _canonical_rows(stored[c])
         assert max(map(len, stored.values())) == width
@@ -471,25 +473,26 @@ class TestResidueBasis:
             basis = ResidueBasis(stride, width)
             seed = (1,) * stride + (0,) * stride
             basis.seed(range(stride), seed)
-            assert basis._rows.shape == (8, stride + 1, width)
+            assert basis._rows.shape == (8, stride, width)
             units = [tuple(int(j == i) for j in range(width)) for i in range(1, 9)]
-            assert basis.insert_block(3, units[:7]) == [True] * 7
+            assert basis.insert_layer([3] * 7, units[:7]).tolist() == [True] * 7
             assert len(basis._rows) == 8
             assert basis.insert(3, units[7])
-            assert basis._rows.shape == (grown, stride + 1, width)
-            assert basis._pivots.shape == basis._values.shape == (stride + 1, grown)
+            assert basis._rows.shape == (grown, stride, width)
+            assert basis._pivots.shape == basis._values.shape == (stride, grown)
             assert basis.stored_rows(3) == _canonical_rows([seed] + units)
             assert basis.stored_rows(4) == _canonical_rows([seed])
 
     def test_seed_stores_what_insert_would(self):
         rng = random.Random(23)
         seed = (1, 1, 1, 0, 0, 0)
-        seeded = ResidueBasis(3, 6)
+        # class 3 stays empty
+        seeded = ResidueBasis(4, 6)
         seeded.seed(range(3), seed)
-        inserted = ResidueBasis(3, 6)
+        inserted = ResidueBasis(4, 6)
         for t in range(3):
             assert inserted.insert(t, seed)
-        assert seeded.rows_in(3) == 0
+        assert seeded.rows_of(3) == 0
         for _ in range(40):
             t = rng.randrange(3)
             v = tuple(rng.randint(-3, 3) for _ in range(6))
@@ -503,47 +506,123 @@ class TestResidueBasis:
         basis.insert(1, (0, 1, 0))
         with pytest.raises(ValueError):
             basis.seed(range(2), (1, 0, 0))
-        assert basis.total_rows == 1
+        assert basis.rows_of(np.arange(2)).tolist() == [0, 1]
+
+    def test_entries_past_the_bound_run_on_python_ints(self, monkeypatch):
+        # an entry between 2**62 and 2**63 fits int64 but not the bound:
+        # given as a list of Python ints or as an object array, its class
+        # runs on Python ints, the other on int64, and both get the
+        # rational oracle's answers
+        moved = _count_exact_runs(monkeypatch)
+        rows = [(1, 0, 2, 0, 1), (0, 1, -1, 3, 0)]
+        big = (1 << 62) + 5
+        fresh = (big, 1, 0, 0, 2)
+        inside = tuple(x + y for x, y in zip(fresh, rows[0]))
+        groups = [0, 1, 1, 0]
+        vectors = [(0, 0, 1, 1, 1), fresh, inside, (1, 0, 3, 1, 2)]
+        stored = {0: rows[:1], 1: rows}
+        flags = []
+        for c, v in zip(groups, vectors):
+            flags.append(not _in_span(stored[c], v))
+            stored[c] = stored[c] + [v] * flags[-1]
+        assert flags == [True, True, False, False]
+        for given in (vectors, np.array(vectors, dtype=object)):
+            moved.clear()
+            basis = ResidueBasis(2, 5)
+            basis.insert(0, rows[0])
+            assert basis.insert_layer([1, 1], rows).tolist() == [True, True]
+            assert basis.insert_layer(groups, given).tolist() == flags
+            assert moved == [1]
+            for c in (0, 1):
+                assert basis.stored_rows(c) == _canonical_rows(stored[c])
+        # a layer of the closure step is int64 and passes as it is
+        table = bootstrap(ps("1,101,111"))
+        children, _ = expand_element(
+            np.arange(1, 9), np.zeros(8, dtype=np.int64), np.array([(1,) * 4 + (0,) * 4]),
+            np.zeros(8, dtype=np.int64), decider._ratios([table]), 2,
+        )
+        assert children.dtype == np.int64
+        assert ResidueBasis(4, 8)._block(children) is children
+
+    @pytest.mark.parametrize("first", ["seed", "insert"])
+    def test_region_shrinks_once_every_class_has_a_row(self, first):
+        # the region keeps every column while a class is empty, so that
+        # class's first row may have entries at the others' pivots; it
+        # shrinks on the first layer after that class takes a row
+        rng = random.Random(29)
+        classes, width = 3, 17
+        basis = ResidueBasis(classes, width)
+        stored = {c: [] for c in range(classes)}
+
+        def layer(groups, vectors):
+            expected = []
+            for c, v in zip(groups, vectors):
+                expected.append(not _in_span(stored[c], v))
+                stored[c] += [v] * expected[-1]
+            assert basis.insert_layer(groups, vectors).tolist() == expected
+            for c in range(classes):
+                assert basis.stored_rows(c) == _canonical_rows(stored[c])
+
+        while min(len(stored[0]), len(stored[1])) <= GROWN:
+            groups = [rng.randrange(2) for _ in range(rng.randint(1, 6))]
+            layer(groups, [tuple(_sparse(rng, width)) for _ in groups])
+            assert basis._free == width
+        dense = tuple(range(1, width + 1))
+        if first == "seed":
+            basis.seed([2], dense)
+            stored[2].append(dense)
+            assert basis._free == width
+            groups = [0, 1]
+        else:
+            groups = [2, 0, 1]
+        layer(groups, [dense if c == 2 else tuple(_sparse(rng, width)) for c in groups])
+        assert basis._free < width
+        while len(stored[2]) <= GROWN:
+            layer([2], [tuple(_sparse(rng, width))])
+        assert basis._free == 8
 
     def test_zero_vector_always_contained(self):
         basis = ResidueBasis(2, 4)
-        assert basis.contains(0, (0, 0, 0, 0))
         assert not basis.insert(0, (0, 0, 0, 0))
+        assert basis.stored_rows(0) == []
 
     def test_scaling_does_not_enlarge(self):
         basis = ResidueBasis(1, 3)
         assert basis.insert(0, (2, 4, 6))
-        assert basis.contains(0, (1, 2, 3))
-        assert basis.contains(0, (-3, -6, -9))
-        assert not basis.contains(0, (1, 2, 4))
+        assert not basis.insert(0, (1, 2, 3))
+        assert not basis.insert(0, (-3, -6, -9))
+        assert basis.stored_rows(0) == [(0, (1, 2, 3))]
+        assert basis.insert(0, (1, 2, 4))
 
     def test_rank_is_capped_by_width(self):
         rng = random.Random(11)
         basis = ResidueBasis(1, 4)
         for _ in range(200):
             basis.insert(0, tuple(rng.randint(-9, 9) for _ in range(4)))
-        assert basis.rows_in(0) == 4
+        assert basis.rows_of(0) == 4
 
     def test_rejects_wrong_width(self):
+        # in an empty class, one with a row and a grown one: a vector is
+        # never truncated or padded to the width
         basis = ResidueBasis(1, 3)
         with pytest.raises(ValueError):
             basis.insert(0, (1, 2))
-
-    def test_contains_rejects_wrong_width(self):
-        # a list class would otherwise truncate the vector to its width
         basis = ResidueBasis(1, 4)
         basis.insert(0, (1, 0, 0, 0))
         for vec in ((1, 0, 0, 0, 5), (1, 0, 0)):
             with pytest.raises(ValueError):
-                basis.contains(0, vec)
+                basis.insert(0, vec)
         width = GROWN + 3
         basis = ResidueBasis(1, width)
         for i in range(GROWN + 1):
             assert basis.insert(0, tuple(int(j == i) for j in range(width)))
-        assert basis.rows_in(0) > GROWN
+        assert basis.rows_of(0) > GROWN
         for size in (width - 1, width + 1):
             with pytest.raises(ValueError):
-                basis.contains(0, (1,) + (0,) * (size - 1))
+                basis.insert(0, (1,) + (0,) * (size - 1))
+            with pytest.raises(ValueError):
+                basis.insert_layer([0], np.zeros((1, size), dtype=np.int64))
+        assert basis.rows_of(0) == GROWN + 1
 
     def test_rows_stay_canonical(self):
         # same span reached along different insertion orders gives the
@@ -1049,11 +1128,12 @@ def _decide_per_class(pattern_set):
 
     Runs on _expand_by_digit.  Returns the decision and the basis, whose
     class t in 1..K must hold the rows that decide keeps for the carry
-    group t % (K / base), tiled back to full width.
+    group t % (K / base), tiled back to full width; its class 0 stays
+    empty.
     """
     table = bootstrap(pattern_set)
     base, modulus = table.base, table.modulus
-    basis = ResidueBasis(modulus, 2 * modulus)
+    basis = ResidueBasis(modulus + 1, 2 * modulus)
     queue = deque()
     seed = (1,) * modulus + (0,) * modulus
     created = 0
@@ -1137,7 +1217,7 @@ class TestGroupedClosure:
                 # the closure stopped on its first step, before it seeded
                 # its groups for a span test
                 assert expected.expansions == 1
-                assert per_class.total_rows == modulus
+                assert per_class.rows_of(np.arange(modulus + 1)).sum() == modulus
                 continue
             (basis,) = grouped
             stride = modulus // a.base
@@ -1147,7 +1227,8 @@ class TestGroupedClosure:
             for t in range(1, modulus + 1):
                 rows = [_full_row(*row, a.base) for row in basis.stored_rows(t % stride)]
                 assert per_class.stored_rows(t) == rows, (str(a), t)
-            assert per_class.total_rows == a.base * basis.total_rows
+            total = per_class.rows_of(np.arange(modulus + 1)).sum()
+            assert total == a.base * basis.rows_of(np.arange(stride)).sum()
 
 
 def _decide_per_element(pattern_set):
@@ -1216,10 +1297,10 @@ def layered(monkeypatch):
         if not made:
             # stopped on the first step, before the groups were seeded
             assert expected.expansions == 1
-            assert per_element.total_rows == stride
+            assert per_element.rows_of(np.arange(stride)).sum() == stride
             return expected, created_in_layer, moves
         (basis,) = made
-        for group in range(stride + 1):
+        for group in range(stride):
             assert basis.stored_rows(group) == per_element.stored_rows(group), (
                 str(pattern_set),
                 group,
