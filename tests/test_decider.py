@@ -602,11 +602,18 @@ class TestResidueBasis:
         assert basis.rows_of(0) == 4
 
     def test_rejects_wrong_width(self):
-        # in an empty class, one with a row and a grown one: a vector is
-        # never truncated or padded to the width
+        # an empty class and a whole layer are never truncated or padded
         basis = ResidueBasis(1, 3)
         with pytest.raises(ValueError):
             basis.insert(0, (1, 2))
+        for size in (2, 4):
+            with pytest.raises(ValueError):
+                basis.insert_layer([0], np.zeros((1, size), dtype=np.int64))
+        assert basis.rows_of(0) == 0
+
+    def test_contains_rejects_wrong_width(self):
+        # the span test of a class with a row and of a grown one would
+        # otherwise truncate the vector to the class's width
         basis = ResidueBasis(1, 4)
         basis.insert(0, (1, 0, 0, 0))
         for vec in ((1, 0, 0, 0, 5), (1, 0, 0)):
