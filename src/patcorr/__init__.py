@@ -21,7 +21,7 @@ from .classify import (
     saturation_violation,
     sylvester_hadamard,
 )
-from .correlation import CorrelationTable, bootstrap, correlation, restricted_correlation
+from .correlation import CorrelationTable, bootstrap, correlation
 from .decider import Decision, InternalConsistencyError, decide
 from .oracle import (
     Estimate,
@@ -46,7 +46,7 @@ from .pattern_sets import (
     twist,
 )
 from .suites import SUITE_NAMES, SuiteResult, run_suite
-from .words import Word, count_in_integer, count_set, expand, value_of
+from .words import Word
 
 __version__ = "0.1.0"
 
@@ -69,13 +69,10 @@ __all__ = [
     "check_cancellation",
     "check_theorem_c",
     "correlation",
-    "count_in_integer",
-    "count_set",
     "decide",
     "empirical_correlation",
     "empirical_restricted_correlation",
     "evaluate",
-    "expand",
     "invariant_decomposition",
     "is_saturated",
     "is_self_invariant",
@@ -85,7 +82,6 @@ __all__ = [
     "random_saturated_superset",
     "reconstruct_pattern_set",
     "remove_leading_zeros",
-    "restricted_correlation",
     "run_suite",
     "saturated_closed_form",
     "saturated_family_from_hadamard",
@@ -94,5 +90,4 @@ __all__ = [
     "sylvester_hadamard",
     "to_constant_length",
     "twist",
-    "value_of",
 ]

@@ -158,12 +158,7 @@ def random_saturated_superset(length: int, rng: random.Random) -> PatternSet:
         Word(2, (1,) + u + (1,))
         for u in itertools.product(range(2), repeat=length - 2)
     ]
-    pool: list[Word] = [Word(2, (1,))]
-    for mid in range(length - 3 + 1):
-        pool.extend(
-            Word(2, (1,) + u + (1,)) for u in itertools.product(range(2), repeat=mid)
-        )
-    for w in pool:
+    for w in _census_pool(2, length - 1, "self-invariant"):
         if rng.random() < 0.5:
             words.append(w)
     return PatternSet(2, tuple(words))

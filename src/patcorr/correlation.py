@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from itertools import compress
 from operator import add, mul, ne
 from typing import Union
@@ -47,9 +46,8 @@ ONE = Fraction(1)
 class CorrelationTable:
     """Shift-1 restricted correlations of one set at one operating length.
 
-    entries[r] is the exact limit of base**level times the average of
-    a(n) a(n + 1) over n = r mod base**level; it equals
-    numerators[r] / denominator and is built on first read.  General
+    numerators[r] / denominator is the exact limit of base**level times
+    the average of a(n) a(n + 1) over n = r mod base**level.  General
     shifts reduce to these one digit at a time through a memo keyed by
     shift alone: the entry (e, V) of a shift gives the restricted value
     on class r as V[r] / (denominator * base**e).  V is a tuple of ints, which the
@@ -80,10 +78,6 @@ class CorrelationTable:
     @property
     def modulus(self) -> int:
         return self.base**self.level
-
-    @cached_property
-    def entries(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(n, self.denominator) for n in self.numerators)
 
     def restricted(self, residue: int, shift: int) -> Fraction:
         """The restricted correlation on one class at one shift."""
@@ -240,13 +234,6 @@ def bootstrap(pattern_set: PatternSet, level: Union[int, None] = None) -> Correl
     numerators = tuple([x * (base - wrap) for x in scaled[:-1]] + [wrap * tail])
     denominator = top * (base - wrap)
     return CorrelationTable(base, lvl, h, numerators, denominator)
-
-
-def restricted_correlation(
-    pattern_set: PatternSet, residue: int, shift: int, level: Union[int, None] = None
-) -> Fraction:
-    """Convenience wrapper: bootstrap, then evaluate one restricted value."""
-    return bootstrap(pattern_set, level).restricted(residue, shift)
 
 
 def correlation(

@@ -222,12 +222,10 @@ class ResidueBasis:
         return [(int(pivots[i]), tuple(rows[i].tolist())) for i in np.argsort(pivots)]
 
     def _block(self, vectors: Vectors) -> np.ndarray:
-        """The vectors as a 2-D array: an int64 one as it is, others as _int64_if makes them."""
+        """The vectors as a 2-D array, as _int64_if makes them."""
         if isinstance(vectors, np.ndarray):
             if vectors.ndim != 2 or vectors.shape[1] != self._width:
                 raise ValueError(f"vectors of width {self._width} expected, got {vectors.shape}")
-            if vectors.dtype == np.int64:
-                return vectors
         elif {len(v) for v in vectors} - {self._width}:
             raise ValueError(f"vectors of width {self._width} expected")
         else:
@@ -497,8 +495,11 @@ def _divide_content(block: np.ndarray) -> np.ndarray:
 
 
 def _int64_if(block: np.ndarray, factor: int) -> np.ndarray:
-    """The block as int64 if factor times its largest |entry| fits the bound, else as Python ints."""
-    top = int(np.abs(block).max()) if block.size else 0
+    """The block as int64 if factor times its largest |entry| fits the bound, else as Python ints.
+
+    The top is taken from the extremes, since np.abs wraps at -2**63.
+    """
+    top = max(int(block.max()), -int(block.min())) if block.size else 0
     dtype = np.int64 if factor * max(top, 1) < _INT64_SAFE else object
     return block.astype(dtype, copy=False)
 

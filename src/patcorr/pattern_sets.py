@@ -106,11 +106,11 @@ class PatternSet:
     def __iter__(self) -> Iterator[Word]:
         return iter(self.words)
 
-    def __contains__(self, word: Word) -> bool:
-        return word in set(self.words)
-
     def __xor__(self, other: "PatternSet") -> "PatternSet":
-        return symmetric_difference(self, other)
+        """Symmetric difference; the sequences multiply pointwise."""
+        if self.base != other.base:
+            raise ValueError("cannot combine sets over different bases")
+        return PatternSet(self.base, tuple(set(self.words) ^ set(other.words)))
 
     def __str__(self) -> str:
         return ",".join(str(w) for w in self.words)
@@ -163,13 +163,6 @@ class PeriodicFactor:
 def evaluate(pattern_set: PatternSet, n: int) -> int:
     """a(n): the parity sign of the total occurrence count at n."""
     return -1 if count_set(pattern_set.words, n) & 1 else 1
-
-
-def symmetric_difference(first: PatternSet, second: PatternSet) -> PatternSet:
-    """Symmetric difference; the sequences multiply pointwise."""
-    if first.base != second.base:
-        raise ValueError("cannot combine sets over different bases")
-    return PatternSet(first.base, tuple(set(first.words) ^ set(second.words)))
 
 
 @lru_cache(maxsize=None)

@@ -544,6 +544,16 @@ class TestResidueBasis:
         assert children.dtype == np.int64
         assert ResidueBasis(4, 8)._block(children) is children
 
+    def test_int64_minimum_is_stored_as_its_list_form(self):
+        # |-2**63| does not fit int64, so the array runs on Python ints
+        # and stores the row the list gives, with a positive pivot
+        stored = []
+        for given in ([[-(2**63), 1]], np.array([[-(2**63), 1]])):
+            basis = ResidueBasis(1, 2)
+            assert basis.insert_layer([0], given).tolist() == [True]
+            stored.append(basis.stored_rows(0))
+        assert stored == [[(0, (2**63, -1))]] * 2
+
     @pytest.mark.parametrize("first", ["seed", "insert"])
     def test_region_shrinks_once_every_class_has_a_row(self, first):
         # the region keeps every column while a class is empty, so that
@@ -691,7 +701,7 @@ def _expand_by_digit(element, table):
     point = None
     if targets[0] == 0:
         point = F(sum(child[:modulus])) + sum(
-            c * e for c, e in zip(child[modulus:], table.entries)
+            F(c * n, table.denominator) for c, n in zip(child[modulus:], table.numerators)
         )
         point *= scale
         targets = targets[1:] + [modulus]
@@ -895,7 +905,9 @@ class TestExpansion:
                 coeffs = _compressed(rng, 2 * K // base)
                 scale, depth = rng.randint(1, 50), rng.randint(0, 3)
                 full = _tile(coeffs, base)
-                expected = F(sum(full[:K])) + sum(c * e for c, e in zip(full[K:], table.entries))
+                expected = F(sum(full[:K])) + sum(
+                    F(c * n, table.denominator) for c, n in zip(full[K:], table.numerators)
+                )
                 value = evaluate_at_zero(coeffs, scale, depth, table)
                 assert value == F(scale, base**depth) * expected
 

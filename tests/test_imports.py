@@ -1,5 +1,6 @@
-"""Every name a library module imports is used in that module, and every
-private helper of the package is used somewhere in it.
+"""Every name a library module imports is used in that module, every
+private helper of the package is used somewhere in it, and every name
+in __all__ is bound on the package once.
 
 No linter ships with the project, so this reads the source with ast.
 The package's __init__ re-exports names on purpose and is left out of
@@ -10,6 +11,8 @@ import ast
 from pathlib import Path
 
 import pytest
+
+import patcorr
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "patcorr"
 MODULES = sorted(p for p in SOURCE.glob("*.py") if p.name != "__init__.py")
@@ -67,3 +70,9 @@ def test_no_dead_private_helpers():
     used = set().union(*map(_references, trees.values()))
     dead = {name: sorted(_private_definitions(tree) - used) for name, tree in trees.items()}
     assert {name: found for name, found in dead.items() if found} == {}
+
+
+def test_all_names_are_bound_once():
+    names = patcorr.__all__
+    assert len(set(names)) == len(names)
+    assert [name for name in names if not hasattr(patcorr, name)] == []

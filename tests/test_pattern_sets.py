@@ -12,7 +12,6 @@ from patcorr.pattern_sets import (
     periodic_factor,
     reconstruct_pattern_set,
     remove_leading_zeros,
-    symmetric_difference,
     to_constant_length,
 )
 from patcorr.words import Word
@@ -61,6 +60,8 @@ class TestPatternSet:
         # word spelling v, zero-padded
         a = PatternSet.from_mask(2, 3, 0b10110010)
         assert str(a) == "001,100,101,111"
+        assert Word.parse("001", 2) in a
+        assert Word.parse("010", 2) not in a and Word.parse("1", 2) not in a
 
     def test_mask_rejects_zero_bit(self):
         with pytest.raises(ValueError):
@@ -68,7 +69,9 @@ class TestPatternSet:
 
     def test_xor(self):
         assert str(ps("1,11") ^ ps("11,101")) == "1,101"
-        assert symmetric_difference(ps("1"), ps("1")).size == 0
+        assert (ps("1") ^ ps("1")).size == 0
+        with pytest.raises(ValueError):
+            ps("1") ^ ps("1", 3)
 
 
 class TestEvaluate:
