@@ -93,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("decide", help="decide whether all shifted correlations vanish")
-    _add_set_arguments(p, level=True)
+    _add_set_arguments(p)
     p.add_argument("--structured", action="store_true")
     p.set_defaults(handler=_cmd_decide)
 
@@ -166,7 +166,7 @@ def _parse_set(ns: argparse.Namespace) -> PatternSet:
 
 
 def _cmd_decide(ns: argparse.Namespace) -> int:
-    decision = decide(_parse_set(ns), ns.level)
+    decision = decide(_parse_set(ns))
     if ns.structured:
         _emit(decision.to_record())
     elif decision.noncorrelated:
@@ -318,11 +318,13 @@ def _cmd_twist(ns: argparse.Namespace) -> int:
 
 
 def _cmd_estimate(ns: argparse.Namespace) -> int:
+    if ns.residue is None and ns.level is not None:
+        raise _UsageError("--level sets the classes of --residue and needs it")
     pattern_set = _parse_set(ns)
     if ns.samples + max(ns.shift, 0) > MAX_PREFIX:
         raise _UsageError(f"samples + shift exceeds {MAX_PREFIX}")
     if ns.residue is None:
-        estimate = empirical_correlation(pattern_set, ns.shift, ns.samples, ns.level)
+        estimate = empirical_correlation(pattern_set, ns.shift, ns.samples)
     else:
         estimate = empirical_restricted_correlation(
             pattern_set, ns.residue, ns.shift, ns.samples, ns.level

@@ -1,7 +1,7 @@
 """Deciding whether every shifted correlation of a sign sequence vanishes.
 
 The decision procedure closes a finite-dimensional space of coefficient
-vectors indexed by residue classes mod K = base**level, plus one extra
+vectors indexed by residue classes mod K = base**length, plus one extra
 class for the positive multiples of K.  A vector stored under class q
 stands for a linear form in the restricted correlations of the sequence
 taken along arguments in that class; its two coefficient blocks hold
@@ -96,7 +96,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .correlation import CorrelationTable, bootstrap
-from .pattern_sets import PatternSet, _operating_level
+from .pattern_sets import PatternSet
 
 
 class InternalConsistencyError(RuntimeError):
@@ -108,9 +108,9 @@ class Decision:
     """Outcome of the closure, with the work done to reach it.
 
     For a correlated sequence the witness shift is the smallest shift
-    with a nonzero correlation whenever that minimum does not exceed
-    K * K; witness_value is the exact correlation there.  The counters
-    record stored elements (seeds included) and dequeued expansions.
+    with a nonzero correlation, and witness_value is the exact
+    correlation there.  The counters record stored elements (seeds
+    included) and dequeued expansions.
     """
 
     noncorrelated: bool
@@ -626,18 +626,18 @@ def expand_element(
     return children, _divide_content(children)
 
 
-def decide(pattern_set: PatternSet, level: Union[int, None] = None) -> Decision:
+def decide(pattern_set: PatternSet) -> Decision:
     """Decide whether every shifted correlation of the sequence vanishes.
 
-    Runs the closure breadth first, one layer at a time, so that
+    Runs the closure at K = base**length, breadth first, so that
     witnesses surface in order of their digit count.  Every correlated
     verdict is cross-checked: the evaluated form value must equal K times
     the independently computed exact correlation at the witness shift,
-    and the reported witness is refined to the smallest shift with a
-    nonzero correlation (capped at K * K sweeps).  It runs the closure
+    and the reported witness is the smallest shift with a nonzero
+    correlation (_correlated_decision proves it).  It runs the closure
     of decide_many on a batch of one.
     """
-    return _closure([bootstrap(pattern_set, level)])[0]
+    return _closure([bootstrap(pattern_set)])[0]
 
 
 def batch_size(base: int, modulus: int) -> int:
@@ -646,9 +646,7 @@ def batch_size(base: int, modulus: int) -> int:
     return max(1, _BATCH_ENTRIES // (stride * (2 * stride) ** 2))
 
 
-def decide_many(
-    pattern_sets: Sequence[PatternSet], level: Union[int, None] = None
-) -> list[Decision]:
+def decide_many(pattern_sets: Sequence[PatternSet]) -> list[Decision]:
     """decide for each set, in input order; the sets of one (base, K) run in lockstep batches.
 
     The batches hold batch_size(base, K) sets each, so the tables and
@@ -657,13 +655,13 @@ def decide_many(
     keyed: dict[tuple[int, int], list[int]] = {}
     for i, pattern_set in enumerate(pattern_sets):
         base = pattern_set.base
-        keyed.setdefault((base, base ** _operating_level(pattern_set, level)), []).append(i)
+        keyed.setdefault((base, base**pattern_set.length), []).append(i)
     decisions: list = [None] * len(pattern_sets)
     for (base, modulus), members in keyed.items():
         size = batch_size(base, modulus)
         for lo in range(0, len(members), size):
             batch = members[lo : lo + size]
-            tables = [bootstrap(pattern_sets[i], level) for i in batch]
+            tables = [bootstrap(pattern_sets[i]) for i in batch]
             for i, decision in zip(batch, _closure(tables)):
                 decisions[i] = decision
     return decisions
@@ -832,7 +830,8 @@ def _noncorrelated_decision(
 ) -> Decision:
     if created != base * rows:
         raise InternalConsistencyError(f"stored {created} elements for {rows} group rows")
-    capacity = 2 * modulus * modulus
+    # K / base groups of at most 2K / base rows, each row base elements
+    capacity = 2 * modulus * (modulus // base)
     if created > capacity:
         raise InternalConsistencyError(
             f"stored {created} elements, above the capacity bound {capacity}"
@@ -844,6 +843,25 @@ def _correlated_decision(
     table: CorrelationTable, provenance: tuple[int, ...], point_value: Fraction, created: int,
     expansions: int,
 ) -> Decision:
+    """The decision at a first nonzero value at 0, its witness the smallest shift.
+
+    The value must equal K times the exact correlation at the shift w
+    the provenance spells.  The smallest shift with a nonzero
+    correlation lies in [base**(D - 1), w], D = len(provenance):
+
+    - w has D digits, the top one nonzero: only the children of classes
+      1 <= q < base are evaluated, and q is their last digit.  Class K
+      carries the digit 0, and its child never lands on the class of 0.
+    - Without span tests, a shift m of D' digits is evaluated at depth
+      D', the digits consumed: the seed on class m mod K (K for 0)
+      consumes the digits of m, each child on the class of what is left.
+    - Span tests lose no depth.  A child rejected on class q at depth d
+      combines vectors its carry group accepted at depth <= d, the seed
+      among them, and each is an element on class q too.  Values at 0
+      are linear, so a continuation that makes the child a witness
+      makes one of them a witness, at no greater depth; by induction on
+      its length, the closure stops by depth D'.
+    """
     base = table.base
     modulus = table.modulus
     shift = witness_from_provenance(provenance, base)
@@ -853,9 +871,7 @@ def _correlated_decision(
             f"form value {point_value} at shift {shift} disagrees with "
             f"{modulus} times the exact correlation {value}"
         )
-    # the witness's own correlation is nonzero, so only smaller shifts
-    # can refine it
-    for m in range(1, min(shift - 1, modulus * modulus) + 1):
+    for m in range(base ** (len(provenance) - 1), shift):
         found = table.correlation(m)
         if found != 0:
             return Decision(False, m, found, created, expansions)

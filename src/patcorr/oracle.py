@@ -45,14 +45,13 @@ class Estimate:
         }
 
 
-def sequence_values(
-    pattern_set: PatternSet, count: int, level: Union[int, None] = None
-) -> np.ndarray:
+def sequence_values(pattern_set: PatternSet, count: int) -> np.ndarray:
     """The first `count` sequence values as an int8 array.
 
     Unrolling a(base * n + d) = a(n) h(base * n + d) k times gives, for
     the width W = base**k, a(W q + r) = a(q) g(q mod P, r) with
-    P = base**(level - 1) and g(s, r) = a(W s + r) a(s).  With W = base,
+    P = base**(length - 1), length the longest word length, and
+    g(s, r) = a(W s + r) a(s).  With W = base,
     g is the ratio table h, and a(n) = h(n) a(n floordiv base) gives the
     first P * base values one digit level at a time.  Unrolling those
     gives the first P * W values for a width of at least 256, hence its
@@ -60,9 +59,8 @@ def sequence_values(
     """
     if count < 1:
         raise ValueError("need at least one sequence value")
-    lvl = _operating_level(pattern_set, level)
     base = pattern_set.base
-    ratio = np.array(periodic_factor(pattern_set, lvl).values, dtype=np.int8)
+    ratio = np.array(periodic_factor(pattern_set).values, dtype=np.int8)
     signs = np.ones(1, dtype=np.int8)
     while len(signs) < len(ratio):
         signs = ratio[: len(signs) * base] * np.repeat(signs, base)
@@ -97,15 +95,13 @@ def _unrolled(first: np.ndarray, table: np.ndarray, count: int) -> np.ndarray:
     return flat[:count]
 
 
-def empirical_correlation(
-    pattern_set: PatternSet, shift: int, samples: int, level: Union[int, None] = None
-) -> Estimate:
+def empirical_correlation(pattern_set: PatternSet, shift: int, samples: int) -> Estimate:
     """Average of a(n) a(n + shift) over n < samples."""
     if shift < 0:
         raise ValueError("shift must be nonnegative")
     if samples < 1:
         raise ValueError("need at least one sample")
-    values = sequence_values(pattern_set, samples + shift, level)
+    values = sequence_values(pattern_set, samples + shift)
     total = _product_sum(values[:samples], values[shift : shift + samples])
     return Estimate(total / samples, samples, shift)
 
@@ -131,7 +127,7 @@ def empirical_restricted_correlation(
     modulus = pattern_set.base**lvl
     if not 0 <= residue < modulus:
         raise ValueError(f"residue must lie in [0, {modulus}), got {residue}")
-    values = sequence_values(pattern_set, samples + shift, lvl)
+    values = sequence_values(pattern_set, samples + shift)
     left = values[residue:samples:modulus]
     right = values[residue + shift : samples + shift : modulus][: len(left)]
     total = _product_sum(left, right)

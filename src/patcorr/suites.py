@@ -238,9 +238,8 @@ def _kernel_props(workers: int) -> list[CheckResult]:
     detail = ""
     for index in range(100):
         candidate = _random_pattern_set(rng, max_length=4)
-        level = candidate.length
         base = candidate.base
-        modulus = base**level
+        modulus = base**candidate.length
         alpha = rng.choice((1, 2))
         shift = rng.randrange(base**alpha)
         values = sequence_values(candidate, (base**alpha) * span + shift + 1)
@@ -263,18 +262,16 @@ def _kernel_props(workers: int) -> list[CheckResult]:
             ratio_ok = False
             detail = detail or f"instance {index} ratio recursion breaks"
         reduced = remove_leading_zeros(candidate)
-        constant = to_constant_length(candidate, level)
+        constant = to_constant_length(candidate, candidate.length)
         if reduced != remove_leading_zeros(constant):
             canonical_ok = False
             detail = detail or f"instance {index} canonical forms disagree"
         for form in (reduced, constant):
-            if not np.array_equal(
-                sequence_values(form, span, level=level), values[:span]
-            ):
+            if not np.array_equal(sequence_values(form, span), values[:span]):
                 canonical_ok = False
                 detail = detail or f"instance {index} canonical form changes values"
         invariant, factor = invariant_decomposition(candidate)
-        inv_values = sequence_values(invariant, span, level=level)
+        inv_values = sequence_values(invariant, span)
         factor_values = np.array(
             [factor(n) for n in range(factor.period)], dtype=np.int64
         )

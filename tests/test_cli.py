@@ -187,6 +187,13 @@ class TestEstimateCommand:
         assert record["residue"] == 0
         assert abs(record["value"] - 1) < 1e-2
 
+    def test_level_only_with_residue(self, capsys):
+        # the plain estimate is the same at every level, so --level alone is refused
+        assert run(["estimate", "-s", "1", "--shift", "1", "--level", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--residue" in captured.err
+
     def test_prefix_limit(self, capsys):
         # refused before any allocation, so this runs in no time
         argv = ["estimate", "-s", "1", "--shift", "1", "--samples", str(MAX_PREFIX)]
@@ -224,26 +231,27 @@ class TestParsing:
         assert run(["decide", "-s", "00"]) == 1
 
     def test_bad_level(self, capsys):
-        assert run(["decide", "-s", "101", "--level", "1"]) == 1
+        assert run(["correlation", "-s", "101", "--shift", "1", "--level", "1"]) == 1
 
     @pytest.mark.parametrize(
         "argv",
         [
+            ["decide", "-s", "11"],
             ["saturation", "-s", "11"],
             ["decompose", "-s", "10"],
             ["twist", "-s", "11", "--factor", "+-"],
         ],
-        ids=["saturation", "decompose", "twist"],
+        ids=["decide", "saturation", "decompose", "twist"],
     )
     def test_level_only_where_it_is_used(self, capsys, argv):
-        # these commands have no operating length, so --level is unknown
+        # these commands answer for the sequence alone, so --level is unknown
         assert run(argv + ["--level", "4"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--level" in captured.err
 
     def test_large_level_rejected_before_work(self, capsys):
-        assert run(["decide", "-s", "1", "--level", "22"]) == 1
+        assert run(["correlation", "-s", "1", "--shift", "1", "--level", "22"]) == 1
         assert "exceeds 256" in capsys.readouterr().err
 
     def test_long_word_rejected_before_work(self, capsys):
@@ -251,6 +259,8 @@ class TestParsing:
         assert "exceeds 256" in capsys.readouterr().err
 
     def test_largest_modulus_accepted(self, capsys):
-        code, record = structured(capsys, ["decide", "-s", "1", "--level", "8", "--structured"])
+        argv = ["correlation", "-s", "1", "--shift", "1", "--level", "8", "--structured"]
+        code, record = structured(capsys, argv)
         assert code == 0
-        assert record["witness_shift"] == 1
+        assert record["level"] == 8
+        assert record["values"] == {"1": "-1/3"}

@@ -983,18 +983,16 @@ class TestDecide:
         }
 
     def test_level_invariance(self):
-        for text in ("1", "11", "10", "1,11"):
-            a = ps(text)
-            narrow = decide(a)
-            wide = decide(a, level=a.length + 1)
-            assert narrow.noncorrelated == wide.noncorrelated
-            if not narrow.noncorrelated:
-                assert narrow.witness_shift == wide.witness_shift
-                assert narrow.witness_value == wide.witness_value
-
-    def test_level_below_length_rejected(self):
-        with pytest.raises(ValueError):
-            decide(ps("101"), level=2)
+        # the verdict and the witness belong to the sequence: the
+        # per-class closure run at a modulus above base**length finds
+        # the same ones as decide
+        for a in [*_binary_up_to_three(), *_base_three_two_digit()]:
+            decision = decide(a)
+            for level in (a.length, a.length + 1, a.length + 2):
+                wide, _ = _decide_per_class(a, level)
+                assert wide.noncorrelated == decision.noncorrelated, (str(a), level)
+                assert wide.witness_shift == decision.witness_shift, (str(a), level)
+                assert wide.witness_value == decision.witness_value, (str(a), level)
 
     @given(st.integers(min_value=0, max_value=(1 << 15) - 1))
     @settings(max_examples=25, deadline=None)
@@ -1142,24 +1140,23 @@ class TestWitnessCrossCheck:
             decide(ps(text, base))
 
 
-def _decide_per_class(pattern_set):
+def _decide_per_class(pattern_set, level=None):
     """Reference: the full-width closure with one row space for every residue class.
 
-    Runs on _expand_by_digit.  Returns the decision and the basis, whose
-    class t in 1..K must hold the rows that decide keeps for the carry
-    group t % (K / base), tiled back to full width; its class 0 stays
-    empty.
+    Runs on _expand_by_digit at K = base**level, level the length by
+    default.  Returns the decision and the basis, whose class t in 1..K
+    must hold the rows that decide keeps for the carry group
+    t % (K / base), tiled back to full width; its class 0 stays empty.
     """
-    table = bootstrap(pattern_set)
+    table = bootstrap(pattern_set, level)
     base, modulus = table.base, table.modulus
     basis = ResidueBasis(modulus + 1, 2 * modulus)
     queue = deque()
     seed = (1,) * modulus + (0,) * modulus
-    created = 0
-    for t in range(1, modulus + 1):
-        basis.insert(t, seed)
-        queue.append(BasisElement(t, seed, 1, ()))
-        created += 1
+    # classes 1..K are distinct, so one call inserts as K single inserts would
+    assert basis.insert_layer(range(1, modulus + 1), [seed] * modulus).all()
+    queue.extend(BasisElement(t, seed, 1, ()) for t in range(1, modulus + 1))
+    created = modulus
     expansions = 0
     while queue:
         element = queue.popleft()
@@ -1170,11 +1167,11 @@ def _decide_per_class(pattern_set):
                 table, provenance, point, created, expansions
             )
             return decision, basis
-        for residue in targets:
-            if basis.insert(residue, coeffs):
-                numerator = scale * base ** len(provenance)
-                queue.append(BasisElement(residue, coeffs, int(numerator), provenance))
-                created += 1
+        accepted = basis.insert_layer(targets, [coeffs] * len(targets))
+        for residue in np.asarray(targets)[accepted].tolist():
+            numerator = scale * base ** len(provenance)
+            queue.append(BasisElement(residue, coeffs, int(numerator), provenance))
+            created += 1
     return Decision(True, None, None, created, expansions), basis
 
 
@@ -1203,6 +1200,45 @@ def _base_four_hadamard():
 
 def _binary_saturated_five():
     yield saturated_family_from_hadamard(sylvester_hadamard(2), 5)
+
+
+class TestMinimalWitness:
+    @pytest.mark.parametrize(
+        "family", [_binary_up_to_three, _base_three_two_digit, _binary_four_sample],
+        ids=lambda family: family.__name__.strip("_"),
+    )
+    def test_witness_is_minimal_with_no_cap(self, family):
+        # every shift below the witness has a vanishing correlation
+        for a in family():
+            decision = decide(a)
+            if decision.noncorrelated:
+                continue
+            table = bootstrap(a)
+            for m in range(1, decision.witness_shift):
+                assert table.correlation(m) == 0, (str(a), m)
+            assert table.correlation(decision.witness_shift) == decision.witness_value != 0
+
+    def test_refinement_asks_no_shift_of_fewer_digits(self, monkeypatch):
+        # the first witness has the fewest digits of any, so the
+        # refinement asks only the shifts with its digit count below it
+        asked = []
+        correlation = decider.CorrelationTable.correlation
+
+        def spied(table, m):
+            asked.append(m)
+            return correlation(table, m)
+
+        monkeypatch.setattr(decider.CorrelationTable, "correlation", spied)
+        deep = 0
+        for a in [*_binary_four_sample(), *_base_three_two_digit()]:
+            asked.clear()
+            decision = decide(a)
+            if decision.noncorrelated:
+                continue
+            digits = len(np.base_repr(decision.witness_shift, a.base))
+            assert asked and min(asked) >= a.base ** (digits - 1), (str(a), asked)
+            deep += digits > 1
+        assert deep > 10
 
 
 class TestGroupedClosure:
@@ -1432,7 +1468,7 @@ def batched(monkeypatch):
     monkeypatch.setattr(decider, "_layers", recorded)
     made_tables = []
     monkeypatch.setattr(
-        decider, "bootstrap", lambda s, level=None: made_tables.append(bootstrap(s, level)) or made_tables[-1]
+        decider, "bootstrap", lambda s: made_tables.append(bootstrap(s)) or made_tables[-1]
     )
 
     def run(batches):
@@ -1531,12 +1567,10 @@ class TestBatchedClosure:
             assert tuple(int(x) for x in child) == coeffs
             assert int(content) == scale
 
-    def test_decide_many_keeps_input_order_and_rejects_low_levels(self):
+    def test_decide_many_keeps_input_order(self):
         sets = [ps("1,101,111"), ps("1", 3), ps("11"), ps("0010,0101,1001,1011"), ps("")]
         assert decider.decide_many(sets) == [decide(a) for a in sets]
         assert decider.decide_many([]) == []
-        with pytest.raises(ValueError):
-            decider.decide_many([ps("11"), ps("101")], level=2)
 
 
 def _first_step_sets():

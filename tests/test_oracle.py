@@ -12,7 +12,7 @@ from patcorr.oracle import (
     saturated_closed_form,
     sequence_values,
 )
-from patcorr.pattern_sets import PatternSet, evaluate, periodic_factor
+from patcorr.pattern_sets import PatternSet, evaluate, periodic_factor, to_constant_length
 from patcorr.words import Word
 
 
@@ -36,8 +36,12 @@ class TestSequenceValues:
             sequence_values(ps("1"), 0)
 
     def test_level_does_not_change_values(self):
+        # the length-4 form of the set is the same sequence, built from a
+        # ratio of period 16
         a = ps("1,11")
-        assert np.array_equal(sequence_values(a, 256), sequence_values(a, 256, level=4))
+        wide = to_constant_length(a, 4)
+        assert wide.length == 4
+        assert np.array_equal(sequence_values(a, 256), sequence_values(wide, 256))
 
     @pytest.mark.parametrize(
         "text,base", [("1001,1011,1101,1111", 2), ("12,201", 3), ("3,130", 4), ("24,4", 5)]
@@ -53,8 +57,10 @@ class TestSequenceValues:
             expected = [1]
             for n in range(1, max(counts)):
                 expected.append(ratio[n % len(ratio)] * expected[n // base])
+            # the length-level form is the same sequence, built at that level
+            form = to_constant_length(a, level)
             for count in counts:
-                values = sequence_values(a, count, level)
+                values = sequence_values(form, count)
                 assert values.dtype == np.int8
                 assert values.tolist() == expected[:count]
 

@@ -129,9 +129,10 @@ class TestAgainstCounts:
 
     def test_sequence_values(self, text, base, level):
         # 2**18 values run past the first block of 256 or more columns
-        # at every modulus here
+        # at every modulus here; the constant-length form is the same
+        # sequence, built from a ratio of period base**level
         a = PatternSet.parse(text, base)
-        values = sequence_values(a, 1 << 18, level)
+        values = sequence_values(to_constant_length(a, level), 1 << 18)
         for n in _sample(len(values), 300, level):
             assert values[n] == evaluate(a, n), n
 
