@@ -84,7 +84,7 @@ def _add_set_arguments(parser: argparse.ArgumentParser, level: bool = False) -> 
         "--level",
         type=int,
         default=None,
-        help="operating length (defaults to the longest word length)",
+        help="operating length of the --residue classes (defaults to the longest word length)",
     )
 
 
@@ -165,6 +165,13 @@ def _parse_set(ns: argparse.Namespace) -> PatternSet:
     return pattern_set
 
 
+def _check_level(ns: argparse.Namespace) -> None:
+    # a full correlation is the same at every level, so --level only
+    # sets the classes of --residue
+    if ns.residue is None and ns.level is not None:
+        raise _UsageError("--level sets the classes of --residue and needs it")
+
+
 def _cmd_decide(ns: argparse.Namespace) -> int:
     decision = decide(_parse_set(ns))
     if ns.structured:
@@ -184,6 +191,7 @@ def _cmd_decide(ns: argparse.Namespace) -> int:
 
 
 def _cmd_correlation(ns: argparse.Namespace) -> int:
+    _check_level(ns)
     if (ns.shift is None) == (ns.max_shift is None):
         raise _UsageError("give exactly one of --shift or --max-shift")
     if ns.max_shift is not None and ns.max_shift < 1:
@@ -318,8 +326,7 @@ def _cmd_twist(ns: argparse.Namespace) -> int:
 
 
 def _cmd_estimate(ns: argparse.Namespace) -> int:
-    if ns.residue is None and ns.level is not None:
-        raise _UsageError("--level sets the classes of --residue and needs it")
+    _check_level(ns)
     pattern_set = _parse_set(ns)
     if ns.samples + max(ns.shift, 0) > MAX_PREFIX:
         raise _UsageError(f"samples + shift exceeds {MAX_PREFIX}")

@@ -32,6 +32,7 @@ those entries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from fractions import Fraction
 from itertools import compress
 from operator import add, mul, ne
@@ -196,6 +197,26 @@ class CorrelationTable:
         return found
 
 
+@lru_cache(maxsize=None)
+def _solve_order(base: int, level: int) -> tuple[tuple[int, slice], ...]:
+    """The classes ending in 1 .. level - 1 top digits, in solve order, with their children.
+
+    The classes ending in exactly j top digits come before those ending
+    in j + 1.  The children of class r are the slice of every stride-th
+    class from r floordiv base.
+    """
+    modulus = base**level
+    stride = modulus // base
+    order = []
+    for j in range(1, level):
+        block = base**j
+        # the classes with digit d - 1 < base - 1 above j top digits
+        for d in range(1, base):
+            for r in range(d * block - 1, modulus, base * block):
+                order.append((r, slice(r // base, None, stride)))
+    return tuple(order)
+
+
 def bootstrap(pattern_set: PatternSet, level: Union[int, None] = None) -> CorrelationTable:
     """Solve for all shift-1 restricted correlations of one pattern set.
 
@@ -204,11 +225,14 @@ def bootstrap(pattern_set: PatternSet, level: Union[int, None] = None) -> Correl
     r ends in the top digit base - 1.  So a class that does not end in
     the top digit has its sign as its value, and a class ending in
     exactly j top digits averages classes ending in exactly j - 1: the
-    solve runs one trailing-top-digit level at a time, from j = 1 up.
-    A class ending in j < level top digits has a value with denominator
+    solve runs one trailing-top-digit level at a time, from j = 1 up,
+    in the order _solve_order keeps for each base and level.  A class
+    ending in j < level top digits has a value with denominator
     base**j, so the solve runs on numerators over base**(level - 1).
     The all-top-digits class wraps around the modulus and is solved as a
     one-variable fixed point, whose sign wrap adds the factor base - wrap.
+    wrap is the last class's sign, so every numerator carries that
+    factor from the start.
     """
     lvl = _operating_level(pattern_set, level)
     base = pattern_set.base
@@ -216,32 +240,27 @@ def bootstrap(pattern_set: PatternSet, level: Union[int, None] = None) -> Correl
     h = periodic_factor(pattern_set, lvl)
     hv = h.values
     stride = modulus // base
-    top = base ** (lvl - 1)
     signs = list(map(mul, hv, hv[1:] + hv[:1]))
-    scaled = [sign * top for sign in signs]
-    for j in range(1, lvl):
-        block = base**j
-        # the classes with digit d - 1 < base - 1 above j top digits
-        for d in range(1, base):
-            for r in range(d * block - 1, modulus, base * block):
-                # exact: the children's values have denominators base**(j - 1)
-                scaled[r] = signs[r] * (sum(scaled[r // base :: stride]) // base)
+    wrap = signs[-1]
+    denominator = base ** (lvl - 1) * (base - wrap)
+    numerators = list(map(denominator.__mul__, signs))
+    for r, children in _solve_order(base, lvl):
+        # exact: the children's values have denominators base**(j - 1)
+        numerators[r] = signs[r] * (sum(numerators[children]) // base)
     # The all-top-digits class appears among its own children; its
     # remaining children all have one fewer trailing top digit and are
     # already solved, leaving a linear equation in one unknown.
-    wrap = signs[-1]
-    tail = sum(scaled[stride - 1 : -1 : stride])
-    numerators = tuple([x * (base - wrap) for x in scaled[:-1]] + [wrap * tail])
-    denominator = top * (base - wrap)
-    return CorrelationTable(base, lvl, h, numerators, denominator)
+    tail = sum(numerators[stride - 1 : -1 : stride])
+    numerators[-1] = wrap * tail // (base - wrap)
+    return CorrelationTable(base, lvl, h, tuple(numerators), denominator)
 
 
-def correlation(
-    pattern_set: PatternSet, shift: int, level: Union[int, None] = None
-) -> Fraction:
+def correlation(pattern_set: PatternSet, shift: int) -> Fraction:
     """Convenience wrapper: bootstrap, then evaluate one full correlation.
 
-    Callers sweeping many shifts should hold on to a bootstrap table
-    instead, so the memo is shared across the sweep.
+    A full correlation belongs to the sequence, whatever the operating
+    length, so the table is built at the set's own length.  Callers
+    sweeping many shifts should hold on to a bootstrap table instead, so
+    the memo is shared across the sweep.
     """
-    return bootstrap(pattern_set, level).correlation(shift)
+    return bootstrap(pattern_set).correlation(shift)

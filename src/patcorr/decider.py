@@ -66,10 +66,14 @@ at a time.
 
 Exact arithmetic throughout: vectors hold integers, and an element's
 scale is an integer numerator over base**(digits consumed), while the
-span tests run on primitive integer rows.  A form's value at 0 is one
-integer dot product against the shift-1 numerators over their common
-denominator, so a Fraction is made only for a nonzero value, that is
-for a witness.
+span tests run on primitive integer rows.  A form's value at 0 is its
+scale times one integer dot product against the shift-1 numerators,
+over their common denominator times base**(digits consumed), and the
+witness check compares it with the table's correlation by integer
+cross-multiplication.  So a correlated verdict makes one Fraction, the
+witness value the table returns, and one more for each shift the
+refinement sweeps below the first witness; a noncorrelated one makes
+none.
 
 The span tests are the bulk of a noncorrelated decision, whose groups
 fill up to 2K / base rows.  Each layer is tested in one call, which
@@ -90,7 +94,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, log2
-from operator import mul
+from operator import add, mul
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -516,24 +520,19 @@ _ZERO = Fraction(0)
 
 
 def evaluate_at_zero(
-    coeffs: Sequence[int],
-    scale: int,
-    depth: int,
-    table: CorrelationTable,
-    total: Optional[int] = None,
+    coeffs: Sequence[int], scale: int, depth: int, table: CorrelationTable
 ) -> Fraction:
-    """Value of a compressed form on the class holding 0 alone.
+    """Value of a compressed form on the class holding 0 alone, as a Fraction.
 
     The form is scale / base**depth times the coefficients.  Restricted
     values at shift offset 0 are all exactly 1, so the low half counts
     base times its plain sum.  The high half, repeated base times, pairs
     with the shift-1 numerators, which share one denominator: entry a
-    meets the sum of the numerators on the classes a mod K / base.  A
-    Fraction is made only for a nonzero value.  A caller that already
-    holds _total_at_zero(coeffs, table) passes it as total.
+    meets the sum of the numerators on the classes a mod K / base.  The
+    closure settles on the integers of _total_at_zero and makes no
+    Fraction here; this is the reference the tests and the tracer use.
     """
-    if total is None:
-        total = _total_at_zero(coeffs, table)
+    total = _total_at_zero(coeffs, table)
     if not total:
         return _ZERO
     return Fraction(scale * total, table.denominator * table.base**depth)
@@ -679,12 +678,12 @@ def _closure(tables: Sequence[CorrelationTable]) -> list[Decision]:
     decisions: list = []
     for table in tables:
         decision = None
-        coeffs = _first_step(table)
-        total = _total_at_zero(coeffs, table)
+        total = _total_at_zero(_first_step(table), table)
         if total:
-            # the first child is primitive, so its scale is 1
-            value = evaluate_at_zero(coeffs, 1, 1, table, total)
-            decision = _correlated_decision(table, (1,), value, modulus, 1)
+            # the first child is primitive, so its scale is 1, and it
+            # has consumed one digit
+            denominator = table.denominator * table.base
+            decision = _correlated_decision(table, (1,), total, denominator, modulus, 1)
         decisions.append(decision)
     going = [k for k, decision in enumerate(decisions) if decision is None]
     if going:
@@ -700,14 +699,17 @@ def _first_step(table: CorrelationTable) -> list[int]:
     consumes the digit 1, so entry r of the step's source is the sign
     s(r) = h(r) h(r + 1), and only r ending in the digit base - 1
     carries: low entry i of the child is the sum of s(i * base + j) over
-    j < base - 1, and high entry i is s(i * base + base - 1).  Each high
-    entry is one sign, so the child is primitive: the content that
-    expand_element would divide out is 1.
+    j < base - 1, one map(add) pass per digit j after the first, and
+    high entry i is s(i * base + base - 1).  Each high entry is one
+    sign, so the child is primitive: the content that expand_element
+    would divide out is 1.
     """
     h, base = table.factor.values, table.base
     signs = list(map(mul, h, h[1:] + h[:1]))
-    low = map(sum, zip(*(signs[j::base] for j in range(base - 1))))
-    return [*low, *signs[base - 1 :: base]]
+    low = signs[::base]
+    for j in range(1, base - 1):
+        low = list(map(add, low, signs[j::base]))
+    return low + signs[base - 1 :: base]
 
 
 def _layers(tables: Sequence[CorrelationTable]) -> list[Decision]:
@@ -751,7 +753,7 @@ def _layers(tables: Sequence[CorrelationTable]) -> list[Decision]:
         # only the few children of classes below the base meet the class
         # of 0, and the first nonzero value of a set among them stops its
         # closure: stops maps the set to its stop's place, the child's
-        # content, its coefficients and their total at 0
+        # content and its coefficients' total at 0
         stops: dict[int, tuple] = {}
         near = (heads == 0).nonzero()[0]
         if not trail:
@@ -763,7 +765,7 @@ def _layers(tables: Sequence[CorrelationTable]) -> list[Decision]:
             if k not in stops:
                 total = _total_at_zero(coeffs, tables[k])
                 if total:
-                    stops[k] = stop, content, coeffs, total
+                    stops[k] = stop, content, total
         # a set span-tests only its elements before its stop, and none
         # when it stops on its first
         tested = slice(None)
@@ -778,7 +780,7 @@ def _layers(tables: Sequence[CorrelationTable]) -> list[Decision]:
             (kept,) = accepted.nonzero()
             created += base * np.bincount(owners[kept], minlength=count)
         starts = sets.searchsorted(list(stops)).tolist() if stops else ()
-        for (k, (stop, scale, coeffs, total)), start in zip(stops.items(), starts):
+        for (k, (stop, scale, total)), start in zip(stops.items(), starts):
             digits = [int(residues[stop]) % base]
             position, up = stop, parents
             for layer_residues, layer_contents, layer_parents in reversed(trail):
@@ -787,10 +789,10 @@ def _layers(tables: Sequence[CorrelationTable]) -> list[Decision]:
                 scale *= int(layer_contents[position])
                 up = layer_parents
             provenance = tuple(reversed(digits))
-            value = evaluate_at_zero(coeffs, scale, len(provenance), tables[k], total)
+            denominator = tables[k].denominator * base ** len(provenance)
             done = int(expansions[k]) + stop - start + 1
             decisions[k] = _correlated_decision(
-                tables[k], provenance, value, int(created[k]), done
+                tables[k], provenance, scale * total, denominator, int(created[k]), done
             )
         if not owners.size:
             # every set of the layer stopped on its first element
@@ -840,13 +842,21 @@ def _noncorrelated_decision(
 
 
 def _correlated_decision(
-    table: CorrelationTable, provenance: tuple[int, ...], point_value: Fraction, created: int,
+    table: CorrelationTable,
+    provenance: tuple[int, ...],
+    numerator: int,
+    denominator: int,
+    created: int,
     expansions: int,
 ) -> Decision:
     """The decision at a first nonzero value at 0, its witness the smallest shift.
 
-    The value must equal K times the exact correlation at the shift w
-    the provenance spells.  The smallest shift with a nonzero
+    The form's value at 0 is numerator / denominator, in integers: its
+    scale times its _total_at_zero, over the table's denominator times
+    base**len(provenance).  It must equal K times the exact correlation
+    at the shift w the provenance spells, which the table computes on
+    its own route; that correlation is the witness value, and the only
+    Fraction the check makes.  The smallest shift with a nonzero
     correlation lies in [base**(D - 1), w], D = len(provenance):
 
     - w has D digits, the top one nonzero: only the children of classes
@@ -866,9 +876,9 @@ def _correlated_decision(
     modulus = table.modulus
     shift = witness_from_provenance(provenance, base)
     value = table.correlation(shift)
-    if point_value != modulus * value:
+    if numerator * value.denominator != modulus * value.numerator * denominator:
         raise InternalConsistencyError(
-            f"form value {point_value} at shift {shift} disagrees with "
+            f"form value {Fraction(numerator, denominator)} at shift {shift} disagrees with "
             f"{modulus} times the exact correlation {value}"
         )
     for m in range(base ** (len(provenance) - 1), shift):

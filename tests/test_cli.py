@@ -11,7 +11,7 @@ from patcorr.cli import (
     run,
 )
 from patcorr.correlation import correlation
-from patcorr.pattern_sets import PatternSet
+from patcorr.pattern_sets import PatternSet, evaluate
 
 
 def structured(capsys, argv):
@@ -68,6 +68,14 @@ class TestCorrelationCommand:
     def test_requires_exactly_one_mode(self, capsys):
         assert run(["correlation", "-s", "1"]) == 1
         assert run(["correlation", "-s", "1", "--shift", "1", "--max-shift", "2"]) == 1
+
+    def test_level_only_with_residue(self, capsys):
+        # the full correlation is the same at every level, so --level
+        # alone is refused, with the message estimate gives
+        assert run(["correlation", "-s", "1", "--shift", "5", "--level", "4"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--level sets the classes of --residue and needs it" in captured.err
 
     def test_deep_shift(self, capsys):
         shift = 2**900 + 1
@@ -231,7 +239,8 @@ class TestParsing:
         assert run(["decide", "-s", "00"]) == 1
 
     def test_bad_level(self, capsys):
-        assert run(["correlation", "-s", "101", "--shift", "1", "--level", "1"]) == 1
+        argv = ["correlation", "-s", "101", "--shift", "1", "--level", "1", "--residue", "0"]
+        assert run(argv) == 1
 
     @pytest.mark.parametrize(
         "argv",
@@ -251,7 +260,8 @@ class TestParsing:
         assert "--level" in captured.err
 
     def test_large_level_rejected_before_work(self, capsys):
-        assert run(["correlation", "-s", "1", "--shift", "1", "--level", "22"]) == 1
+        argv = ["correlation", "-s", "1", "--shift", "1", "--level", "22", "--residue", "0"]
+        assert run(argv) == 1
         assert "exceeds 256" in capsys.readouterr().err
 
     def test_long_word_rejected_before_work(self, capsys):
@@ -259,8 +269,13 @@ class TestParsing:
         assert "exceeds 256" in capsys.readouterr().err
 
     def test_largest_modulus_accepted(self, capsys):
-        argv = ["correlation", "-s", "1", "--shift", "1", "--level", "8", "--structured"]
-        code, record = structured(capsys, argv)
+        argv = ["correlation", "-s", "1", "--shift", "1", "--level", "8", "--residue", "0"]
+        code, record = structured(capsys, argv + ["--structured"])
         assert code == 0
         assert record["level"] == 8
-        assert record["values"] == {"1": "-1/3"}
+        # n = 0 mod 256 ends in the digit 0, so n + 1 has one more 1:
+        # every term a(n) a(n + 1) of the class, so their average, is -1
+        parity = PatternSet.parse("1", 2)
+        terms = {evaluate(parity, n) * evaluate(parity, n + 1) for n in range(0, 1 << 14, 256)}
+        assert terms == {-1}
+        assert record["values"] == {"1": "-1/1"}

@@ -1139,6 +1139,24 @@ class TestWitnessCrossCheck:
         with pytest.raises(InternalConsistencyError):
             decide(ps(text, base))
 
+    @pytest.mark.parametrize(
+        "text, base",
+        [("1", 2), ("12", 3), ("13", 4), ("0010,0101,1001,1011", 2)],
+        ids=["1-1-1", "12-1-1-base3", "13-1-1-base4", "0010,0101,1001,1011-2-19"],
+    )
+    def test_wrong_form_value_is_caught(self, text, base, monkeypatch):
+        # the closure's side of the same check, on the same witnesses: a
+        # form whose total at 0 doubles fails it, on the first step and
+        # in a layer alike
+        total_at_zero = decider._total_at_zero
+
+        def doubled(coeffs, table):
+            return 2 * total_at_zero(coeffs, table)
+
+        monkeypatch.setattr(decider, "_total_at_zero", doubled)
+        with pytest.raises(InternalConsistencyError):
+            decide(ps(text, base))
+
 
 def _decide_per_class(pattern_set, level=None):
     """Reference: the full-width closure with one row space for every residue class.
@@ -1164,7 +1182,7 @@ def _decide_per_class(pattern_set, level=None):
         targets, coeffs, scale, provenance, point = _expand_by_digit(element, table)
         if point is not None and point != 0:
             decision = decider._correlated_decision(
-                table, provenance, point, created, expansions
+                table, provenance, point.numerator, point.denominator, created, expansions
             )
             return decision, basis
         accepted = basis.insert_layer(targets, [coeffs] * len(targets))
@@ -1312,7 +1330,7 @@ def _decide_per_element(pattern_set):
         targets, coeffs, scale, provenance, point = _expand_one(element, table)
         if point is not None and point != 0:
             decision = decider._correlated_decision(
-                table, provenance, point, created, expansions
+                table, provenance, point.numerator, point.denominator, created, expansions
             )
             return decision, basis, created_in_layer
         if basis.insert(targets[0] % stride, coeffs):
