@@ -2,9 +2,9 @@
 
 Every command prints a short human summary by default and a single JSON
 object with --structured.  Rationals appear as "p/q" strings in the
-structured output.  Exit codes: 0 on success, 1 on a usage error, 2
-when an internal consistency check failed (or a verification suite
-reported failures).
+structured output.  Exit codes: 0 on success, 1 on a usage error or a
+--list file that cannot be written, 2 when an internal consistency
+check failed (or a verification suite reported failures).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .suites import SUITE_NAMES, run_suite
 # Largest operating modulus base**level a set command accepts: binary
 # length 8.  Decision time and memory set the limit, not the tables
 # (bootstrap takes about 0.5 ms at K = 512): a saturated binary length-8
-# decision takes 8.0-9.2 s and 150 MB on a 2-vCPU machine, and each
+# decision takes 6.6-6.9 s and 151 MB on a 2-vCPU machine, and each
 # doubling of K multiplies the decision time by 7.5 to 9.5.
 MAX_MODULUS = 256
 # Largest --workers of census and verify, and largest census family.
@@ -51,13 +51,9 @@ MAX_SHIFT_BITS = 2048
 MAX_PREFIX = 1 << 23
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # noqa: D401  (argparse hook)
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def _rational(value: Fraction) -> str:
@@ -94,7 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decide", help="decide whether all shifted correlations vanish")
     _add_set_arguments(p)
-    p.add_argument("--structured", action="store_true")
     p.set_defaults(handler=_cmd_decide)
 
     p = sub.add_parser("correlation", help="exact correlation values")
@@ -102,7 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shift", type=int, default=None, help="a single shift")
     p.add_argument("--max-shift", type=int, default=None, help="sweep shifts 1..MAX")
     p.add_argument("--residue", type=int, default=None, help="restrict to one class")
-    p.add_argument("--structured", action="store_true")
     p.set_defaults(handler=_cmd_correlation)
 
     p = sub.add_parser("census", help="sweep a binary candidate family")
@@ -111,17 +105,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--selection", choices=("all", "self-invariant"), default="all")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--list", dest="list_path", default=None, help="write noncorrelated sets to a file")
-    p.add_argument("--structured", action="store_true")
     p.set_defaults(handler=_cmd_census)
 
     p = sub.add_parser("saturation", help="test the saturation property")
     _add_set_arguments(p)
-    p.add_argument("--structured", action="store_true")
     p.set_defaults(handler=_cmd_saturation)
 
     p = sub.add_parser("decompose", help="split off the self-invariant part")
     _add_set_arguments(p)
-    p.add_argument("--structured", action="store_true")
     p.set_defaults(handler=_cmd_decompose)
 
     p = sub.add_parser("twist", help="multiply by a periodic sign and rebuild the set")
@@ -131,7 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help='one period as a sign string, e.g. "+-"',
     )
-    p.add_argument("--structured", action="store_true")
     p.set_defaults(handler=_cmd_twist)
 
     p = sub.add_parser("estimate", help="empirical correlation from a prefix")
@@ -139,15 +129,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shift", type=int, required=True)
     p.add_argument("--samples", type=int, default=1 << 20)
     p.add_argument("--residue", type=int, default=None)
-    p.add_argument("--structured", action="store_true")
     p.set_defaults(handler=_cmd_estimate)
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("--suite", required=True, choices=SUITE_NAMES)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--structured", action="store_true")
     p.set_defaults(handler=_cmd_verify)
 
+    for p in sub.choices.values():
+        p.add_argument("--structured", action="store_true")
     return parser
 
 
@@ -159,7 +149,7 @@ def _parse_set(ns: argparse.Namespace) -> PatternSet:
     for _ in range(level):
         modulus *= ns.base
         if modulus > MAX_MODULUS:
-            raise _UsageError(
+            raise ValueError(
                 f"operating modulus {ns.base}**{level} exceeds {MAX_MODULUS}"
             )
     return pattern_set
@@ -169,7 +159,7 @@ def _check_level(ns: argparse.Namespace) -> None:
     # a full correlation is the same at every level, so --level only
     # sets the classes of --residue
     if ns.residue is None and ns.level is not None:
-        raise _UsageError("--level sets the classes of --residue and needs it")
+        raise ValueError("--level sets the classes of --residue and needs it")
 
 
 def _cmd_decide(ns: argparse.Namespace) -> int:
@@ -193,19 +183,17 @@ def _cmd_decide(ns: argparse.Namespace) -> int:
 def _cmd_correlation(ns: argparse.Namespace) -> int:
     _check_level(ns)
     if (ns.shift is None) == (ns.max_shift is None):
-        raise _UsageError("give exactly one of --shift or --max-shift")
+        raise ValueError("give exactly one of --shift or --max-shift")
     if ns.max_shift is not None and ns.max_shift < 1:
-        raise _UsageError(f"--max-shift {ns.max_shift} is below 1")
+        raise ValueError(f"--max-shift {ns.max_shift} is below 1")
     if ns.max_shift is not None and ns.max_shift > MAX_SWEEP:
-        raise _UsageError(f"--max-shift {ns.max_shift} exceeds {MAX_SWEEP}")
+        raise ValueError(f"--max-shift {ns.max_shift} exceeds {MAX_SWEEP}")
     if ns.shift is not None and ns.shift.bit_length() > MAX_SHIFT_BITS:
-        raise _UsageError(
+        raise ValueError(
             f"--shift has {ns.shift.bit_length()} bits, more than {MAX_SHIFT_BITS}"
         )
     table = bootstrap(_parse_set(ns), ns.level)
     shifts = [ns.shift] if ns.shift is not None else list(range(1, ns.max_shift + 1))
-    if any(s < 0 for s in shifts):
-        raise _UsageError("shifts must be nonnegative")
     if ns.residue is None:
         values = {s: table.correlation(s) for s in shifts}
     else:
@@ -247,9 +235,9 @@ def _render_census(report: CensusReport, ns: argparse.Namespace) -> None:
 
 def _check_workers(workers: int) -> None:
     if workers < 1:
-        raise _UsageError(f"--workers {workers} is below 1")
+        raise ValueError(f"--workers {workers} is below 1")
     if workers > MAX_WORKERS:
-        raise _UsageError(f"--workers {workers} exceeds {MAX_WORKERS}")
+        raise ValueError(f"--workers {workers} exceeds {MAX_WORKERS}")
 
 
 def _cmd_census(ns: argparse.Namespace) -> int:
@@ -261,7 +249,7 @@ def _cmd_census(ns: argparse.Namespace) -> int:
         length = min(ns.length, 17)
         words = (1 << length) - 1 if ns.selection == "all" else 1 << (length - 1)
         if 1 << words > MAX_CANDIDATES:
-            raise _UsageError(
+            raise ValueError(
                 f"--length {ns.length} gives more than {MAX_CANDIDATES} candidates"
             )
     report = census(
@@ -329,7 +317,7 @@ def _cmd_estimate(ns: argparse.Namespace) -> int:
     _check_level(ns)
     pattern_set = _parse_set(ns)
     if ns.samples + max(ns.shift, 0) > MAX_PREFIX:
-        raise _UsageError(f"samples + shift exceeds {MAX_PREFIX}")
+        raise ValueError(f"samples + shift exceeds {MAX_PREFIX}")
     if ns.residue is None:
         estimate = empirical_correlation(pattern_set, ns.shift, ns.samples)
     else:
@@ -369,10 +357,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except InternalConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 2
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -60,9 +60,10 @@ that every set keeps its own queue order, and one basis, whose class
 k * stride + g is carry group g of the batch's set k: each layer takes
 one step call and one span-test call for all of them.  A set stops at
 its own first nonzero value, after span-testing only its elements
-before it, and leaves the batch when it stops or closes.  A batch holds
-batch_size sets, so the tables and rows of one batch at most are alive
-at a time.
+before it, and leaves the batch when it stops or closes.  decide_many
+runs each (base, K) group of its input as one batch, and the census
+sizes the groups: it hands over batch_size sets at a time, so the
+tables and rows of one batch at most are alive at a time.
 
 Exact arithmetic throughout: vectors hold integers, and an element's
 scale is an integer numerator over base**(digits consumed), while the
@@ -640,29 +641,27 @@ def decide(pattern_set: PatternSet) -> Decision:
 
 
 def batch_size(base: int, modulus: int) -> int:
-    """How many closures of one (base, K) run in lockstep: the budget over one set's most row entries."""
+    """How many sets of one (base, K) a sweep decides at once: a budget over one set's rows."""
     stride = modulus // base
     return max(1, _BATCH_ENTRIES // (stride * (2 * stride) ** 2))
 
 
 def decide_many(pattern_sets: Sequence[PatternSet]) -> list[Decision]:
-    """decide for each set, in input order; the sets of one (base, K) run in lockstep batches.
+    """decide for each set, in input order; the sets of one (base, K) run as one lockstep closure.
 
-    The batches hold batch_size(base, K) sets each, so the tables and
-    rows of at most one batch are alive at a time.
+    The tables and rows of every set are alive until its group is
+    decided, so the caller sizes the input: the census hands over
+    batch_size(base, K) sets at a time.
     """
     keyed: dict[tuple[int, int], list[int]] = {}
     for i, pattern_set in enumerate(pattern_sets):
         base = pattern_set.base
         keyed.setdefault((base, base**pattern_set.length), []).append(i)
     decisions: list = [None] * len(pattern_sets)
-    for (base, modulus), members in keyed.items():
-        size = batch_size(base, modulus)
-        for lo in range(0, len(members), size):
-            batch = members[lo : lo + size]
-            tables = [bootstrap(pattern_sets[i]) for i in batch]
-            for i, decision in zip(batch, _closure(tables)):
-                decisions[i] = decision
+    for members in keyed.values():
+        tables = [bootstrap(pattern_sets[i]) for i in members]
+        for i, decision in zip(members, _closure(tables)):
+            decisions[i] = decision
     return decisions
 
 

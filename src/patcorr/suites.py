@@ -89,6 +89,14 @@ def _check(checks: list[CheckResult], name: str, passed: bool, detail: str) -> N
     checks.append(CheckResult(name, passed, detail))
 
 
+def _first_failures(failures: dict[str, str], defaults: dict[str, str]) -> list[CheckResult]:
+    """One check per name of defaults, failed with its first failure when failures holds one."""
+    return [
+        CheckResult(name, name not in failures, failures.get(name, detail))
+        for name, detail in defaults.items()
+    ]
+
+
 def _smoke(workers: int) -> list[CheckResult]:
     """Fast sanity pass over the main entry points."""
     checks: list[CheckResult] = []
@@ -106,12 +114,8 @@ def _smoke(workers: int) -> list[CheckResult]:
     table = bootstrap(rs)
     zeros = all(table.correlation(m) == 0 for m in range(1, 17))
     _check(checks, "double-digit correlations vanish", zeros, "shifts 1..16")
-    _check(
-        checks,
-        "double-digit verdict",
-        decide(rs).noncorrelated,
-        decide(rs).verdict,
-    )
+    decision = decide(rs)
+    _check(checks, "double-digit verdict", decision.noncorrelated, decision.verdict)
     report = census(2, 2)
     _check(
         checks,
@@ -184,22 +188,18 @@ def _theorem_c(workers: int) -> list[CheckResult]:
 
 def _saturated_props(workers: int) -> list[CheckResult]:
     """Random saturated sets: verdicts, cancellation sums, closed forms."""
-    checks: list[CheckResult] = []
     rng = random.Random(20260822)
     instances: list[PatternSet] = []
     for _ in range(60):
         instances.append(random_saturated_superset(rng.choice((2, 3, 4, 5)), rng))
     for _ in range(40):
         instances.append(random_hadamard_family(4, rng.choice((2, 3)), rng))
-    all_noncorrelated = True
-    all_cancel = True
-    all_closed = True
-    first_failure = ""
+    failures: dict[str, str] = {}
     for index, candidate in enumerate(instances):
-        decision = decide(candidate)
-        if not decision.noncorrelated:
-            all_noncorrelated = False
-            first_failure = first_failure or f"instance {index} decided correlated"
+        if not decide(candidate).noncorrelated:
+            failures.setdefault(
+                "all instances noncorrelated", f"instance {index} decided correlated"
+            )
         base = candidate.base
         reduced = remove_leading_zeros(candidate)
         length = reduced.length
@@ -208,34 +208,33 @@ def _saturated_props(workers: int) -> list[CheckResult]:
                 for second in range(first + 1, base):
                     total = check_cancellation(reduced, Word(base, u_digits), first, second)
                     if total != 0:
-                        all_cancel = False
-                        first_failure = first_failure or (
-                            f"instance {index} cancellation {total} at {u_digits}"
+                        failures.setdefault(
+                            "cancellation sums vanish",
+                            f"instance {index} cancellation {total} at {u_digits}",
                         )
         table = bootstrap(reduced)
         for r in range(table.modulus):
             for m in range(1, 2 * base + 1):
                 if table.restricted(r, m) != saturated_closed_form(reduced, r, m):
-                    all_closed = False
-                    first_failure = first_failure or (
-                        f"instance {index} closed form off at r={r} m={m}"
+                    failures.setdefault(
+                        "closed form matches recursion",
+                        f"instance {index} closed form off at r={r} m={m}",
                     )
-    _check(checks, "all instances noncorrelated", all_noncorrelated, first_failure or "100 instances")
-    _check(checks, "cancellation sums vanish", all_cancel, first_failure or "all interiors")
-    _check(checks, "closed form matches recursion", all_closed, first_failure or "shifts up to 2k")
-    return checks
+    return _first_failures(
+        failures,
+        {
+            "all instances noncorrelated": "100 instances",
+            "cancellation sums vanish": "all interiors",
+            "closed form matches recursion": "shifts up to 2k",
+        },
+    )
 
 
 def _kernel_props(workers: int) -> list[CheckResult]:
     """Kernel quotients, canonical forms, and decompositions on random sets."""
-    checks: list[CheckResult] = []
     rng = random.Random(17)
     span = 1 << 14
-    quotients_ok = True
-    ratio_ok = True
-    canonical_ok = True
-    decomposition_ok = True
-    detail = ""
+    failures: dict[str, str] = {}
     for index in range(100):
         candidate = _random_pattern_set(rng, max_length=4)
         base = candidate.base
@@ -250,8 +249,9 @@ def _kernel_props(workers: int) -> list[CheckResult]:
             [quotient(n) for n in range(quotient.period)], dtype=np.int64
         )
         if not np.array_equal(left * right, np.tile(expected, span // quotient.period + 1)[:span]):
-            quotients_ok = False
-            detail = detail or f"instance {index} quotient breaks periodicity"
+            failures.setdefault(
+                "kernel quotients periodic", f"instance {index} quotient breaks periodicity"
+            )
         ratio = periodic_factor(candidate)
         ratio_values = np.array(ratio.values, dtype=np.int64)
         n = np.arange(1, span)
@@ -259,17 +259,20 @@ def _kernel_props(workers: int) -> list[CheckResult]:
             values[n].astype(np.int64),
             ratio_values[n % modulus] * values[n // base].astype(np.int64),
         ):
-            ratio_ok = False
-            detail = detail or f"instance {index} ratio recursion breaks"
+            failures.setdefault(
+                "ratio recursion exact", f"instance {index} ratio recursion breaks"
+            )
         reduced = remove_leading_zeros(candidate)
         constant = to_constant_length(candidate, candidate.length)
         if reduced != remove_leading_zeros(constant):
-            canonical_ok = False
-            detail = detail or f"instance {index} canonical forms disagree"
+            failures.setdefault(
+                "canonical forms agree", f"instance {index} canonical forms disagree"
+            )
         for form in (reduced, constant):
             if not np.array_equal(sequence_values(form, span), values[:span]):
-                canonical_ok = False
-                detail = detail or f"instance {index} canonical form changes values"
+                failures.setdefault(
+                    "canonical forms agree", f"instance {index} canonical form changes values"
+                )
         invariant, factor = invariant_decomposition(candidate)
         inv_values = sequence_values(invariant, span)
         factor_values = np.array(
@@ -279,16 +282,22 @@ def _kernel_props(workers: int) -> list[CheckResult]:
         if not np.array_equal(
             values[:span].astype(np.int64), repeats * inv_values.astype(np.int64)
         ):
-            decomposition_ok = False
-            detail = detail or f"instance {index} decomposition identity breaks"
+            failures.setdefault(
+                "decomposition identity", f"instance {index} decomposition identity breaks"
+            )
         if any(w.digits[-1] == 0 for w in invariant.words):
-            decomposition_ok = False
-            detail = detail or f"instance {index} invariant part not self-invariant"
-    _check(checks, "kernel quotients periodic", quotients_ok, detail or "alpha in {1,2}")
-    _check(checks, "ratio recursion exact", ratio_ok, detail or f"n < {span}")
-    _check(checks, "canonical forms agree", canonical_ok, detail or "both routes")
-    _check(checks, "decomposition identity", decomposition_ok, detail or f"n < {span}")
-    return checks
+            failures.setdefault(
+                "decomposition identity", f"instance {index} invariant part not self-invariant"
+            )
+    return _first_failures(
+        failures,
+        {
+            "kernel quotients periodic": "alpha in {1,2}",
+            "ratio recursion exact": f"n < {span}",
+            "canonical forms agree": "both routes",
+            "decomposition identity": f"n < {span}",
+        },
+    )
 
 
 def _random_pattern_set(rng: random.Random, max_length: int = 4) -> PatternSet:

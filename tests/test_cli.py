@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -279,3 +283,91 @@ class TestParsing:
         terms = {evaluate(parity, n) * evaluate(parity, n + 1) for n in range(0, 1 << 14, 256)}
         assert terms == {-1}
         assert record["values"] == {"1": "-1/1"}
+
+
+# every input the command line refuses: (id, argv, a piece of the error
+# line); {tmp} stands for a fresh directory
+BAD_INPUTS = [
+    ("unknown-command", ["frobnicate"], "invalid choice"),
+    ("missing-set", ["decide", "--structured"], "required: -s/--set"),
+    ("not-an-int", ["census", "--length", "x"], "invalid int value"),
+    ("unknown-suite", ["verify", "--suite", "bogus"], "invalid choice"),
+    ("negative-shift", ["correlation", "-s", "1", "--shift", "-1"], "shift must be nonnegative"),
+    (
+        "negative-restricted-shift",
+        ["correlation", "-s", "1", "--shift", "-1", "--residue", "0", "--structured"],
+        "shift must be nonnegative",
+    ),
+    (
+        "residue-out-of-range",
+        ["correlation", "-s", "11", "--shift", "1", "--residue", "4"],
+        "residue must lie in [0, 4)",
+    ),
+    ("census-base", ["census", "--length", "2", "-k", "3"], "base 2 only"),
+    ("modulus-cap", ["decide", "-s", "1000000001"], "exceeds 256"),
+    (
+        "shift-bits-cap",
+        ["correlation", "-s", "1", "--shift", str(1 << MAX_SHIFT_BITS)],
+        f"more than {MAX_SHIFT_BITS}",
+    ),
+    (
+        "sweep-cap",
+        ["correlation", "-s", "1", "--max-shift", str(MAX_SWEEP + 1)],
+        f"exceeds {MAX_SWEEP}",
+    ),
+    (
+        "workers-cap",
+        ["verify", "--suite", "smoke", "--workers", str(MAX_WORKERS + 1)],
+        f"exceeds {MAX_WORKERS}",
+    ),
+    ("family-cap", ["census", "--length", "5"], f"more than {MAX_CANDIDATES} candidates"),
+    (
+        "prefix-cap",
+        ["estimate", "-s", "1", "--shift", "1", "--samples", str(MAX_PREFIX)],
+        f"exceeds {MAX_PREFIX}",
+    ),
+    ("list-to-directory", ["census", "--length", "2", "--list", "{tmp}"], "Is a directory"),
+    (
+        "list-to-missing-directory",
+        ["census", "--length", "2", "--list", "{tmp}/missing/sets.txt", "--structured"],
+        "No such file or directory",
+    ),
+]
+
+
+def _one_error_line(err: str, piece: str) -> None:
+    assert "Traceback" not in err
+    (line,) = err.splitlines()
+    assert line.startswith("error: ") and piece in line
+
+
+class TestBadInputs:
+    @pytest.mark.parametrize(
+        "argv, piece", [case[1:] for case in BAD_INPUTS], ids=[case[0] for case in BAD_INPUTS]
+    )
+    def test_exit_1_with_one_error_line(self, capsys, tmp_path, argv, piece):
+        assert run([arg.replace("{tmp}", str(tmp_path)) for arg in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        _one_error_line(captured.err, piece)
+
+    def test_refused_census_writes_no_list(self, capsys, tmp_path):
+        target = tmp_path / "sets.txt"
+        assert run(["census", "--length", "2", "-k", "3", "--list", str(target)]) == 1
+        _one_error_line(capsys.readouterr().err, "base 2 only")
+        assert not target.exists()
+
+    def test_entry_point(self, tmp_path):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+        done = subprocess.run(
+            [sys.executable, "-m", "patcorr", "census", "--length", "2", "--list", str(tmp_path)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 1
+        assert done.stdout == ""
+        _one_error_line(done.stderr, "Is a directory")

@@ -111,24 +111,32 @@ def _in_span(vectors, target):
     return all(a == 0 for a in row)
 
 
+def _extend_reduced(reduced, vector):
+    """Add vector to rational rows in reduced echelon form, in place; whether it lay outside their span.
+
+    reduced lists (pivot column, row) pairs, each row 1 at its own
+    pivot and 0 at every other row's pivot.
+    """
+    row = [F(x) for x in vector]
+    for pivot_col, pivot_row in reduced:
+        if row[pivot_col] != 0:
+            f = row[pivot_col]
+            row = [a - f * b for a, b in zip(row, pivot_row)]
+    lead = next((i for i, a in enumerate(row) if a != 0), None)
+    if lead is None:
+        return False
+    row = [a / row[lead] for a in row]
+    reduced[:] = [(c, [a - r[lead] * b for a, b in zip(r, row)]) for c, r in reduced]
+    reduced.append((lead, row))
+    return True
+
+
 def _canonical_rows(vectors):
     # independent oracle: rational reduced echelon form, each row scaled
     # to a primitive integer row with a positive pivot
     reduced = []
     for v in vectors:
-        row = [F(x) for x in v]
-        for pivot_col, pivot_row in reduced:
-            if row[pivot_col] != 0:
-                f = row[pivot_col]
-                row = [a - f * b for a, b in zip(row, pivot_row)]
-        lead = next((i for i, a in enumerate(row) if a != 0), None)
-        if lead is None:
-            continue
-        row = [a / row[lead] for a in row]
-        reduced = [
-            (c, [a - r[lead] * b for a, b in zip(r, row)]) for c, r in reduced
-        ]
-        reduced.append((lead, row))
+        _extend_reduced(reduced, v)
     out = []
     for pivot_col, row in sorted(reduced):
         scale = lcm(*(a.denominator for a in row))
@@ -1218,6 +1226,50 @@ def _base_four_hadamard():
 
 def _binary_saturated_five():
     yield saturated_family_from_hadamard(sylvester_hadamard(2), 5)
+
+
+def _decide_rational(pattern_set):
+    """Reference that shares no code with the span kernel: the per-class closure on rational rows.
+
+    The breadth-first search of _decide_per_class, on _expand_by_digit,
+    with each class's rows kept in reduced echelon form by rational
+    elimination (_extend_reduced) in place of a ResidueBasis.  Returns
+    the decision.
+    """
+    table = bootstrap(pattern_set)
+    modulus = table.modulus
+    rows = [[] for _ in range(modulus + 1)]
+    seed = (1,) * modulus + (0,) * modulus
+    queue = deque()
+    for t in range(1, modulus + 1):
+        assert _extend_reduced(rows[t], seed)
+        queue.append(BasisElement(t, seed, 1, ()))
+    created = modulus
+    expansions = 0
+    while queue:
+        element = queue.popleft()
+        expansions += 1
+        targets, coeffs, scale, provenance, point = _expand_by_digit(element, table)
+        if point is not None and point != 0:
+            return decider._correlated_decision(
+                table, provenance, point.numerator, point.denominator, created, expansions
+            )
+        for residue in targets:
+            if _extend_reduced(rows[residue], coeffs):
+                numerator = scale * table.base ** len(provenance)
+                queue.append(BasisElement(residue, coeffs, int(numerator), provenance))
+                created += 1
+    return Decision(True, None, None, created, expansions)
+
+
+class TestRationalClosure:
+    @pytest.mark.parametrize(
+        "family", [_binary_up_to_three, _base_three_two_digit],
+        ids=lambda family: family.__name__.strip("_"),
+    )
+    def test_matches_decide(self, family):
+        for a in family():
+            assert decide(a).to_record() == _decide_rational(a).to_record(), str(a)
 
 
 class TestMinimalWitness:

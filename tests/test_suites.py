@@ -1,5 +1,7 @@
 import pytest
 
+from patcorr import suites
+from patcorr.pattern_sets import PeriodicFactor, kernel_quotient
 from patcorr.suites import SUITE_NAMES, run_suite
 
 
@@ -36,3 +38,33 @@ class TestRunSuite:
         assert record["suite"] == "smoke"
         assert record["passed"] is True
         assert all(set(c) == {"name", "passed", "detail"} for c in record["checks"])
+
+
+def _details(result):
+    return {check.name: (check.passed, check.detail) for check in result.checks}
+
+
+class TestOneReportPerFailure:
+    def test_broken_cancellation_fails_only_its_check(self, monkeypatch):
+        monkeypatch.setattr(suites, "check_cancellation", lambda *args: 1)
+        details = _details(run_suite("saturated-props"))
+        passed, detail = details.pop("cancellation sums vanish")
+        assert not passed and detail.startswith("instance 0 cancellation 1 at ")
+        assert details == {
+            "all instances noncorrelated": (True, "100 instances"),
+            "closed form matches recursion": (True, "shifts up to 2k"),
+        }
+
+    def test_broken_quotient_fails_only_its_check(self, monkeypatch):
+        def negated(*args):
+            quotient = kernel_quotient(*args)
+            return PeriodicFactor(quotient.base, tuple(-v for v in quotient.values))
+
+        monkeypatch.setattr(suites, "kernel_quotient", negated)
+        details = _details(run_suite("kernel-props"))
+        assert details == {
+            "kernel quotients periodic": (False, "instance 0 quotient breaks periodicity"),
+            "ratio recursion exact": (True, "n < 16384"),
+            "canonical forms agree": (True, "both routes"),
+            "decomposition identity": (True, "n < 16384"),
+        }
